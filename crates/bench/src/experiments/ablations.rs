@@ -128,7 +128,6 @@ pub fn ablation_lim(exp: &ExpConfig) -> String {
 /// A5 — finger-table staleness under churn (substrate-level; the Chord
 /// maintenance protocol the paper's converged-overlay evaluation takes
 /// for granted).
-// dhs-flow: allow(rng-plumbing) — churn schedule RNG is seeded from ExpConfig tags; reproducibility comes from the config, not a plumbed handle
 pub fn ablation_churn(exp: &ExpConfig) -> String {
     use dhs_dht::fingers::{FingerTables, RouteOutcome};
     let nodes = exp.nodes.min(1024);
@@ -214,7 +213,6 @@ pub fn ablation_churn(exp: &ExpConfig) -> String {
 /// nothing. The paper promises "probabilistic guarantees … in the
 /// presence of dynamics and failures" — this measures what maintenance
 /// that requires.
-// dhs-flow: allow(rng-plumbing) — failure/repair RNG is seeded from ExpConfig tags; reproducibility comes from the config, not a plumbed handle
 pub fn ablation_dynamics(exp: &ExpConfig) -> String {
     use dhs_core::maintenance::repair_replicas;
     let mut out = String::new();

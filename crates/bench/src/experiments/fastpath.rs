@@ -80,7 +80,6 @@ fn nodes(exp: &ExpConfig) -> usize {
 
 /// Run one layer over `accesses` from a single origin. Every layer gets
 /// an identically-seeded ring and insert RNG; only the caches differ.
-// dhs-flow: allow(entropy-taint) — wall-clock timing is the measurement itself; only derived throughput numbers are reported
 fn run_layer(dhs: &Dhs, exp: &ExpConfig, accesses: &[u64], mode: Mode) -> LayerOut {
     let mut ring_rng = exp.rng(0xFA57_0001);
     let base_ring = Ring::build(nodes(exp), RingConfig::default(), &mut ring_rng);
@@ -215,7 +214,6 @@ fn exhaustive_estimate(dhs: &Dhs, exp: &ExpConfig, ring: &Ring) -> f64 {
         .estimate
 }
 
-// dhs-flow: allow(rng-plumbing) — access-trace RNG is seeded from an ExpConfig tag; traces are reproducible by construction
 fn zipf_accesses(exp: &ExpConfig, domain: usize, len: usize) -> Vec<u64> {
     let zipf = Zipf::new(domain, 0.7);
     let hasher = item_hasher();
@@ -225,7 +223,6 @@ fn zipf_accesses(exp: &ExpConfig, domain: usize, len: usize) -> Vec<u64> {
         .collect()
 }
 
-// dhs-flow: allow(rng-plumbing) — access-trace RNG is seeded from an ExpConfig tag; traces are reproducible by construction
 fn uniform_accesses(exp: &ExpConfig, domain: usize, len: usize) -> Vec<u64> {
     let hasher = item_hasher();
     let mut rng = exp.rng(0xFA57_0022);

@@ -132,7 +132,6 @@ fn count_over(
 }
 
 /// N1 — DHS-sLL accuracy and cost over a faulty network.
-// dhs-flow: allow(rng-plumbing) — fault-pattern RNG is seeded from ExpConfig tags; reproducibility comes from the config, not a plumbed handle
 pub fn network(exp: &ExpConfig) -> String {
     let cfg = DhsConfig {
         estimator: dhs_core::EstimatorKind::SuperLogLog,

@@ -56,7 +56,6 @@ fn sat_workload(exp: &ExpConfig, metrics: Option<u64>) -> TenantWorkload {
 }
 
 /// One timed driver run at `threads` workers.
-// dhs-flow: allow(entropy-taint) — wall-clock timing is the measurement itself; only derived throughput numbers are reported
 fn run_once(exp: &ExpConfig, w: &TenantWorkload, threads: usize) -> (SatReport, f64) {
     let cfg = SatConfig::new(threads, exp.seed);
     let start = Instant::now();
@@ -116,7 +115,6 @@ struct SweepReport {
 }
 
 /// Run the full thread sweep once.
-// dhs-flow: allow(entropy-taint) — aggregates run_once wall-clock timings; the sweep is a measurement harness
 fn run_sweep(exp: &ExpConfig, metrics: Option<u64>) -> SweepReport {
     let workload = sat_workload(exp, metrics);
     let runs: Vec<(SatReport, f64)> = SWEEP

@@ -75,7 +75,6 @@ fn shard_workload(exp: &ExpConfig, metrics: Option<u64>) -> TenantWorkload {
 
 /// One pass of the workload through a store (any budget/cold-tier
 /// configuration), with wall-clock timing.
-// dhs-flow: allow(entropy-taint) — wall-clock timing is the measurement itself; only derived throughput numbers are reported
 fn run_stream<C: dhs_shard::ColdTier>(
     w: &TenantWorkload,
     exp: &ExpConfig,
@@ -158,7 +157,6 @@ struct ShardReport {
 /// Run every phase once; both output formats render from this. `metrics`
 /// (when given, e.g. from an ablation-plan factor) overrides the
 /// workload size ahead of `DHS_SHARD_METRICS` and `--scale`.
-// dhs-flow: allow(entropy-taint) — aggregates run_stream wall-clock timings; the report is a measurement harness
 fn run_report(exp: &ExpConfig, metrics: Option<u64>) -> ShardReport {
     let w = shard_workload(exp, metrics);
     let mut rec = NoopRecorder;

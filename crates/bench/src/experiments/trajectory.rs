@@ -71,7 +71,6 @@ fn apply(base: &ExpConfig, params: &JobParams, seed: u64) -> ExpConfig {
 }
 
 impl JobRunner for BenchRunner {
-    // dhs-flow: allow(entropy-taint) — dispatches into timed KPI harnesses (fastpath/saturation); timing is the job's deliverable
     #[allow(clippy::cast_possible_truncation)]
     fn run(&mut self, params: &JobParams, seed: u64) -> Result<MetricsRegistry, String> {
         let exp = apply(&self.base, params, seed);

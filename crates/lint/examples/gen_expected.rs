@@ -6,19 +6,7 @@ use dhs_lint::{flow_files, lint_source, render_flow_jsonl, render_jsonl, rust_so
 
 /// The flow fixture cases: each is a mini-workspace under
 /// `fixtures/flow/<case>/`.
-pub const FLOW_CASES: &[&str] = &[
-    "cast_range",
-    "cycles",
-    "dispatch",
-    "draw_parity",
-    "dropped",
-    "entropy",
-    "flow_clean",
-    "plumbing",
-    "protocol_effects",
-    "protocol_exchange",
-    "protocol_submit",
-];
+pub const FLOW_CASES: &[&str] = &["cycles", "dropped", "flow_clean", "plumbing"];
 
 fn main() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");

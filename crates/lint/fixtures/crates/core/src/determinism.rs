@@ -31,3 +31,11 @@ pub fn drain_all(pending: &mut HashMap<u64, u64>) -> Vec<(u64, u64)> {
 pub fn lookup(index: &HashMap<u64, u64>, key: u64) -> Option<u64> {
     index.get(&key).copied()
 }
+
+/// A fully-qualified hash type is still a hash type, as a parameter and
+/// as a `let` initializer: two findings.
+pub fn qualified(seen: &std::collections::HashSet<u64>) -> usize {
+    let tally = std::collections::HashMap::<u64, u64>::new();
+    let from_param = seen.iter().count();
+    from_param + tally.values().count()
+}

@@ -1,37 +1,28 @@
-//! Workspace-wide call-graph construction over [`crate::items`],
-//! resolved with the receiver-type model of [`crate::types`] /
-//! [`crate::resolve`].
+//! Workspace-wide call-graph construction over [`crate::items`].
 //!
-//! Every call site is classified (see [`SiteKind`]):
+//! Edges are name-based and kept only where the callee is certain:
 //!
-//! * **Resolved** — a unique type-justified callee: free calls with one
-//!   workspace match, `Type::name(...)`/`Self::name(...)` against the
-//!   `(self_type, name)` table, and `recv.name(...)` where the
-//!   receiver's type head is inferable (params, `self`, let bindings,
-//!   field chains, call returns) and names exactly one impl.
-//! * **Dispatch** — a type-justified *set*: a trait-bound receiver
-//!   dispatching over the trait's workspace implementors, or a type
-//!   name defined in several impl blocks.
-//! * **External** — the receiver type is known and the method is not a
-//!   workspace fn (`Vec::push`, foreign-trait methods like
-//!   `Rng::gen_range`). Counted only when the bare name collides with
-//!   workspace fns — i.e. where the old name-based graph would have
-//!   fabricated ambiguous edges.
-//! * **Ambiguous** — the receiver's type is not inferable; the old
-//!   name-based candidate fallback, reported separately and used only
-//!   where over-approximation is safe (taint propagation), never where
-//!   it would fabricate findings (recursion cycles).
+//! * **Path-qualified calls** (`Type::name(...)`, `Self::name(...)`)
+//!   resolve against the `(self_type, name)` table.
+//! * **`self.name(...)` method calls** resolve to the method of the
+//!   enclosing impl's self-type when it exists.
+//! * **Free calls** resolve by bare name when exactly one workspace fn
+//!   carries that name.
+//! * **Other method calls** (`x.name(...)`, receiver not literally
+//!   `self`) yield no edge: the receiver's type is unknown, and a guess
+//!   would fabricate cycles (`fn clear(&mut self) { self.entries.clear() }`
+//!   would become a self-loop).
 //!
-//! Calls to names not defined in the scanned set (std, shims, …) with
-//! no workspace collision are external and invisible — except that the
-//! flow rules themselves scan bodies for the specific external tokens
-//! they care about (`thread_rng`, `.gen_range(`, …).
+//! The graph's one consumer is `recursion-bound`, where a missing edge
+//! costs a missed cycle and a wrong edge costs a false finding — so
+//! uncertain sites are dropped rather than over-approximated. Calls to
+//! names not defined in the scanned set (std, shims, …) are external
+//! and ignored.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::items::FileItems;
-use crate::resolve::{CallSite, ResolutionStats, Resolver, SiteKind};
-use crate::types::TypeIndex;
+use crate::items::{is_call_at, FileItems};
+use crate::lexer::Tok;
 
 /// A function's global id: index into [`CallGraph::fns`].
 pub type FnId = usize;
@@ -45,34 +36,19 @@ pub struct FnRef {
     pub item: usize,
 }
 
-/// The workspace call graph: non-test library fns as nodes, typed
-/// resolved/dispatch edges plus the name-based ambiguous remainder.
+/// The workspace call graph: non-test library fns as nodes, certain
+/// call edges only.
 #[derive(Debug)]
 pub struct CallGraph {
     /// Global fn table, in (file, source) order — deterministic.
     pub fns: Vec<FnRef>,
-    /// Uniquely resolved callees per fn.
+    /// Callees per fn (sites where exactly one candidate matched).
     pub callees: Vec<BTreeSet<FnId>>,
-    /// Type-justified dispatch sets per fn (trait-bound receivers over
-    /// their workspace implementors).
-    pub dispatch: Vec<BTreeSet<FnId>>,
-    /// Ambiguous callee candidates per fn (receiver type unknown; the
-    /// edge over-approximates).
-    pub ambiguous: Vec<BTreeSet<FnId>>,
-    /// Every classified call site, in deterministic (fn, token) order.
-    pub sites: Vec<CallSite>,
-    /// Site counts per [`SiteKind`] — the resolution-rate ratchet.
-    pub stats: ResolutionStats,
-    /// Number of call *sites* that resolved ambiguously.
-    pub ambiguous_sites: usize,
-    /// The type index the graph was resolved against.
-    pub types: TypeIndex,
 }
 
 impl CallGraph {
-    /// The global fn table: every non-test fn of the given files, in
-    /// (file, source) order.
-    pub fn fn_table(files: &[FileItems]) -> Vec<FnRef> {
+    /// Build the graph over every non-test fn of the given files.
+    pub fn build(files: &[FileItems]) -> CallGraph {
         let mut fns = Vec::new();
         for (fi, file) in files.iter().enumerate() {
             for (ii, f) in file.fns.iter().enumerate() {
@@ -81,85 +57,47 @@ impl CallGraph {
                 }
             }
         }
-        fns
-    }
-
-    /// Build the graph over every non-test fn of the given files.
-    pub fn build(files: &[FileItems]) -> CallGraph {
-        let fns = Self::fn_table(files);
-        let types = TypeIndex::build(files, &fns);
-        let resolver = Resolver::new(files, &fns, &types);
+        // Name tables. Bare name → candidate ids; (self_type, name) →
+        // candidate ids (an impl type can span several blocks/crates).
+        let mut by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
+        let mut by_qual: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
+        for (id, r) in fns.iter().enumerate() {
+            let f = &files[r.file].fns[r.item];
+            by_name.entry(&f.name).or_default().push(id);
+            if let Some(t) = &f.self_type {
+                by_qual.entry((t, &f.name)).or_default().push(id);
+            }
+        }
 
         let mut callees = vec![BTreeSet::new(); fns.len()];
-        let mut dispatch = vec![BTreeSet::new(); fns.len()];
-        let mut ambiguous = vec![BTreeSet::new(); fns.len()];
-        let mut sites = Vec::new();
-        let mut stats = ResolutionStats::default();
-        for id in 0..fns.len() {
-            let (fn_sites, closure_typed) = resolver.resolve_fn(id);
-            stats.closure_typed += closure_typed;
-            for site in fn_sites {
-                match site.kind {
-                    SiteKind::Resolved => {
-                        stats.resolved += 1;
-                        callees[id].extend(site.candidates.iter().copied());
-                    }
-                    SiteKind::Dispatch => {
-                        stats.dispatch += 1;
-                        dispatch[id].extend(site.candidates.iter().copied());
-                    }
-                    SiteKind::External => stats.external += 1,
-                    SiteKind::Ambiguous => {
-                        stats.ambiguous += 1;
-                        ambiguous[id].extend(site.candidates.iter().copied());
-                    }
+        for (id, r) in fns.iter().enumerate() {
+            let file = &files[r.file];
+            let f = &file.fns[r.item];
+            let Some((open, close)) = f.body else {
+                continue;
+            };
+            let toks = &file.tokens;
+            for j in open + 1..close {
+                if !is_call_at(toks, j) {
+                    continue;
                 }
-                sites.push(site);
-            }
-        }
-
-        CallGraph {
-            fns,
-            callees,
-            dispatch,
-            ambiguous,
-            sites,
-            ambiguous_sites: stats.ambiguous,
-            stats,
-            types,
-        }
-    }
-
-    /// Callers of each fn over the union of resolved, dispatch, and
-    /// ambiguous edges (the safe direction for taint propagation).
-    pub fn reverse_over_approx(&self) -> Vec<BTreeSet<FnId>> {
-        let mut rev = vec![BTreeSet::new(); self.fns.len()];
-        for edges in [&self.callees, &self.dispatch, &self.ambiguous] {
-            for (caller, outs) in edges.iter().enumerate() {
-                for &c in outs {
-                    rev[c].insert(caller);
+                let Tok::Ident(name) = &toks[j].kind else {
+                    continue;
+                };
+                if let Some(callee) =
+                    resolve(toks, j, name, f.self_type.as_deref(), &by_name, &by_qual)
+                {
+                    callees[id].insert(callee);
                 }
             }
         }
-        rev
+
+        CallGraph { fns, callees }
     }
 
-    /// Forward edges of each fn over the union of resolved, dispatch,
-    /// and ambiguous edges.
-    pub fn forward_over_approx(&self) -> Vec<BTreeSet<FnId>> {
-        let mut fwd = vec![BTreeSet::new(); self.fns.len()];
-        for edges in [&self.callees, &self.dispatch, &self.ambiguous] {
-            for (caller, outs) in edges.iter().enumerate() {
-                fwd[caller].extend(outs.iter().copied());
-            }
-        }
-        fwd
-    }
-
-    /// Strongly connected components over the *resolved* edges only
-    /// (dispatch and ambiguous edges would fabricate cycles). Returned
-    /// in a deterministic order; singleton components are included only
-    /// when they carry a self-loop.
+    /// Strongly connected components of the graph, in a deterministic
+    /// order; singleton components are included only when they carry a
+    /// self-loop.
     pub fn recursive_components(&self) -> Vec<Vec<FnId>> {
         // Iterative Tarjan.
         let n = self.fns.len();
@@ -230,6 +168,45 @@ impl CallGraph {
     }
 }
 
+/// The callee of the call whose head ident sits at `j`, when the site
+/// names exactly one workspace fn.
+fn resolve(
+    toks: &[crate::lexer::Token],
+    j: usize,
+    name: &str,
+    self_type: Option<&str>,
+    by_name: &BTreeMap<&str, Vec<FnId>>,
+    by_qual: &BTreeMap<(&str, &str), Vec<FnId>>,
+) -> Option<FnId> {
+    let prev = |k: usize| toks.get(j.wrapping_sub(k)).map(|t| &t.kind);
+    let unique = |ids: Option<&Vec<FnId>>| match ids.map(Vec::as_slice) {
+        Some([only]) => Some(*only),
+        _ => None,
+    };
+    // `Qual::name(...)`; a qualifier that is no workspace type is read
+    // as a module path (`module::free_fn(...)`) and falls back to the
+    // bare name.
+    if prev(1) == Some(&Tok::Punct(':')) && prev(2) == Some(&Tok::Punct(':')) {
+        let Some(Tok::Ident(q)) = prev(3) else {
+            return None;
+        };
+        let qual: &str = if q == "Self" { self_type? } else { q };
+        return unique(by_qual.get(&(qual, name)).or_else(|| by_name.get(name)));
+    }
+    // `recv.name(...)`: only `self.name(...)` names the enclosing
+    // impl's own method; any other receiver's type is unknown.
+    if prev(1) == Some(&Tok::Punct('.')) {
+        let on_self = matches!(prev(2), Some(Tok::Ident(r)) if r == "self")
+            && prev(3) != Some(&Tok::Punct('.'));
+        if !on_self {
+            return None;
+        }
+        return unique(by_qual.get(&(self_type?, name)));
+    }
+    // Free call (or an associated fn brought into scope via `use`).
+    unique(by_name.get(name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +234,6 @@ mod tests {
         let caller = id_of(&files, &g, "caller");
         let leaf = id_of(&files, &g, "leaf");
         assert!(g.callees[caller].contains(&leaf));
-        assert_eq!(g.ambiguous_sites, 0);
     }
 
     #[test]
@@ -276,47 +252,20 @@ mod tests {
     }
 
     #[test]
-    fn typed_param_receivers_resolve_uniquely() {
-        // Pre-dhs-types this was the canonical ambiguous site: two
-        // structs share a method name, but `x: &A` picks one.
+    fn unknown_receivers_yield_no_edge() {
         let (files, g) = graph(&[(
             "crates/core/src/a.rs",
             "struct A;\nimpl A {\n  fn step(&self) {}\n}\n\
-             struct B;\nimpl B {\n  fn step(&self) {}\n}\n\
              fn drive(x: &A) { x.step() }\n",
         )]);
         let drive = id_of(&files, &g, "drive");
-        let a_step = id_of(&files, &g, "A::step");
-        assert_eq!(
-            g.callees[drive].iter().copied().collect::<Vec<_>>(),
-            vec![a_step]
-        );
-        assert!(g.ambiguous[drive].is_empty());
-        assert_eq!(g.ambiguous_sites, 0);
-        assert_eq!(g.stats.ambiguous, 0);
-    }
-
-    #[test]
-    fn unknown_receivers_stay_ambiguous() {
-        // A tuple-destructured binding has no inferable head: the site
-        // falls back to the name-based candidate set.
-        let (files, g) = graph(&[(
-            "crates/core/src/a.rs",
-            "struct A;\nimpl A {\n  fn step(&self) {}\n}\n\
-             struct B;\nimpl B {\n  fn step(&self) {}\n}\n\
-             fn drive(pair: (A, B)) { pair.0.step() }\n",
-        )]);
-        let drive = id_of(&files, &g, "drive");
         assert!(g.callees[drive].is_empty());
-        assert_eq!(g.ambiguous[drive].len(), 2);
-        assert_eq!(g.ambiguous_sites, 1);
     }
 
     #[test]
     fn field_method_of_same_name_is_not_a_self_loop() {
         // `self.entries.clear()` inside `Cache::clear` must not become
-        // a resolved self-edge — the receiver is the Vec field, which
-        // the type model now proves external.
+        // a self-edge — the receiver is the field, not self.
         let (files, g) = graph(&[(
             "crates/core/src/a.rs",
             "struct Cache { entries: Vec<u8> }\nimpl Cache {\n  \
@@ -324,48 +273,7 @@ mod tests {
         )]);
         let clear = id_of(&files, &g, "Cache::clear");
         assert!(g.callees[clear].is_empty());
-        assert!(g.ambiguous[clear].is_empty());
         assert!(g.recursive_components().is_empty());
-        // The name collides with a workspace fn, so the proof that the
-        // call leaves the workspace is counted as an External site.
-        assert_eq!(g.stats.external, 1);
-        assert_eq!(g.ambiguous_sites, 0);
-    }
-
-    #[test]
-    fn trait_bound_receivers_dispatch_over_implementors() {
-        let (files, g) = graph(&[(
-            "crates/core/src/a.rs",
-            "trait Overlay {\n  fn owner_of(&self) -> u64;\n}\n\
-             struct Ring;\nimpl Overlay for Ring {\n  fn owner_of(&self) -> u64 { 1 }\n}\n\
-             struct Star;\nimpl Overlay for Star {\n  fn owner_of(&self) -> u64 { 2 }\n}\n\
-             fn route<O: Overlay>(o: &O) { o.owner_of(); }\n",
-        )]);
-        let route = id_of(&files, &g, "route");
-        let ring = id_of(&files, &g, "Ring::owner_of");
-        let star = id_of(&files, &g, "Star::owner_of");
-        assert!(g.callees[route].is_empty());
-        assert!(g.dispatch[route].contains(&ring) && g.dispatch[route].contains(&star));
-        assert_eq!(g.stats.dispatch, 1);
-        assert_eq!(g.ambiguous_sites, 0);
-    }
-
-    #[test]
-    fn let_bindings_and_chained_calls_type_receivers() {
-        let (files, g) = graph(&[(
-            "crates/core/src/a.rs",
-            "struct Lab;\nimpl Lab {\n  fn pop(&mut self) {}\n}\n\
-             struct Engine { lab: Lab }\nimpl Engine {\n  fn lab(&mut self) -> Lab { Lab }\n}\n\
-             struct Other;\nimpl Other {\n  fn pop(&mut self) {}\n}\n\
-             fn run(e: &mut Engine) {\n  let l = e.lab();\n  l.pop();\n  e.lab().pop();\n}\n",
-        )]);
-        let run = id_of(&files, &g, "run");
-        let lab_pop = id_of(&files, &g, "Lab::pop");
-        let lab_fn = id_of(&files, &g, "Engine::lab");
-        assert!(g.callees[run].contains(&lab_pop));
-        assert!(g.callees[run].contains(&lab_fn));
-        assert!(g.ambiguous[run].is_empty());
-        assert_eq!(g.ambiguous_sites, 0);
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //!
 //! | id               | guards against                                          |
 //! |------------------|---------------------------------------------------------|
-//! | `entropy-taint`  | protocol entry points transitively reaching wall clocks |
-//! |                  | or OS entropy (`thread_rng`, `from_entropy`, …)         |
 //! | `rng-plumbing`   | library fns drawing from an RNG they own instead of a   |
 //! |                  | caller-supplied `&mut impl Rng`                         |
 //! | `dropped-result` | discarded `Result`s from `Transport`/store/retry APIs:  |
@@ -14,11 +12,11 @@
 //! | `recursion-bound`| call-graph cycles without a `dhs-flow: cycle-ok(reason)`|
 //! |                  | annotation on every participating fn                    |
 //!
-//! Scope: library sources of non-exempt crates; `#[cfg(test)]` extents
-//! and test/example targets are out. Taint propagates over resolved
-//! *and* ambiguous call edges (over-approximation is safe for taint);
-//! recursion detection uses resolved edges only (over-approximation
-//! would fabricate cycles).
+//! Scope: library sources of the replay crates (see
+//! [`crate::rules::flow_scope`]); `#[cfg(test)]` extents and
+//! test/example targets are out. DESIGN.md's audit table records why
+//! these three stay at this layer and why `entropy-taint` and the
+//! protocol/draw-parity/cast-range passes went.
 
 use std::collections::BTreeSet;
 
@@ -27,14 +25,8 @@ use crate::items::{parse_items, FileItems};
 use crate::lexer::{Tok, Token};
 use crate::rules::Finding;
 
-/// Prefixes that mark a fn as a protocol/simulation entry point for
-/// `entropy-taint` (paper Alg. 1 surfaces plus the sim drivers).
-pub const ENTRY_PREFIXES: &[&str] = &[
-    "insert", "count", "route", "refresh", "repair", "run", "exchange", "simulate",
-];
-
 /// RNG draw methods: a call to any of these is "drawing".
-pub(crate) const DRAW_METHODS: &[&str] = &[
+const DRAW_METHODS: &[&str] = &[
     "gen",
     "gen_range",
     "gen_bool",
@@ -57,43 +49,8 @@ pub struct FlowStats {
     pub files_scanned: usize,
     /// Non-test fns in the call graph.
     pub functions: usize,
-    /// Resolved call edges.
+    /// Call edges (sites naming exactly one workspace fn).
     pub resolved_edges: usize,
-    /// Type-justified dispatch edges.
-    pub dispatch_edges: usize,
-    /// Call sites with a unique type-justified callee.
-    pub sites_resolved: usize,
-    /// Call sites with a type-justified dispatch set.
-    pub sites_dispatch: usize,
-    /// Call sites proven external despite workspace name collisions.
-    pub sites_external: usize,
-    /// Call sites that resolved ambiguously (name-based fallback).
-    pub ambiguous_calls: usize,
-    /// Closure parameters element-typed by the resolver's adapter and
-    /// annotation passes.
-    pub closure_typed_sites: usize,
-    /// Fns reachable from the machine modules whose bodies the
-    /// rng-draw-parity pass analyzed.
-    pub draw_parity_fns: usize,
-    /// Narrowing casts the cast-range interval pass proved in-range.
-    pub casts_proven_safe: usize,
-}
-
-impl FlowStats {
-    /// Total classified call sites.
-    pub fn sites_total(&self) -> usize {
-        self.sites_resolved + self.sites_dispatch + self.sites_external + self.ambiguous_calls
-    }
-
-    /// Share of sites with a type-justified outcome, in basis points
-    /// (integer, so the stat is byte-stable in reports).
-    pub fn resolution_rate_bp(&self) -> usize {
-        let total = self.sites_total();
-        if total == 0 {
-            return 10_000;
-        }
-        (total - self.ambiguous_calls) * 10_000 / total
-    }
 }
 
 /// Run the flow analysis over `(path, source)` pairs. Paths select
@@ -108,13 +65,9 @@ pub fn flow_files(inputs: &[(String, String)]) -> (Vec<Finding>, FlowStats) {
     let graph = CallGraph::build(&files);
 
     let mut findings = Vec::new();
-    entropy_taint(&files, &graph, &mut findings);
     rng_plumbing(&files, &graph, &mut findings);
     dropped_result(&files, &graph, &mut findings);
     recursion_bound(&files, &graph, &mut findings);
-    crate::protocol::check(&files, &graph, &mut findings);
-    let draw_parity_fns = crate::absint::draw_parity(&files, &graph, &mut findings);
-    let casts_proven_safe = crate::absint::cast_range(&files, &mut findings);
     findings.sort();
     findings.dedup();
 
@@ -122,14 +75,6 @@ pub fn flow_files(inputs: &[(String, String)]) -> (Vec<Finding>, FlowStats) {
         files_scanned: files.len(),
         functions: graph.fns.len(),
         resolved_edges: graph.callees.iter().map(|c| c.len()).sum(),
-        dispatch_edges: graph.dispatch.iter().map(|c| c.len()).sum(),
-        sites_resolved: graph.stats.resolved,
-        sites_dispatch: graph.stats.dispatch,
-        sites_external: graph.stats.external,
-        ambiguous_calls: graph.ambiguous_sites,
-        closure_typed_sites: graph.stats.closure_typed,
-        draw_parity_fns,
-        casts_proven_safe,
     };
     (findings, stats)
 }
@@ -148,123 +93,6 @@ fn line_snippet(files: &[FileItems], g: &CallGraph, id: FnId) -> (String, u32, S
         .map(|l| l.trim().to_string())
         .unwrap_or_default();
     (files[r.file].path.clone(), f.line, snippet)
-}
-
-// ---------------------------------------------------------------------
-// entropy-taint
-// ---------------------------------------------------------------------
-
-/// The entropy/wall-clock source directly used by a fn body, if any.
-fn direct_source(toks: &[Token], open: usize, close: usize) -> Option<&'static str> {
-    for i in open + 1..close {
-        match &toks[i].kind {
-            Tok::Ident(s) if s == "thread_rng" => return Some("thread_rng"),
-            Tok::Ident(s) if s == "from_entropy" => return Some("from_entropy"),
-            Tok::Ident(s) if s == "SystemTime" => return Some("SystemTime"),
-            Tok::Ident(s)
-                if s == "Instant"
-                    && toks.get(i + 1).map(|t| &t.kind) == Some(&Tok::Punct(':'))
-                    && toks.get(i + 2).map(|t| &t.kind) == Some(&Tok::Punct(':'))
-                    && crate::rules::is_ident_at(toks, i + 3, "now") =>
-            {
-                return Some("Instant::now");
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn entropy_taint(files: &[FileItems], g: &CallGraph, out: &mut Vec<Finding>) {
-    let n = g.fns.len();
-    let mut source: Vec<Option<&'static str>> = vec![None; n];
-    for (id, r) in g.fns.iter().enumerate() {
-        let file = &files[r.file];
-        if let Some((open, close)) = file.fns[r.item].body {
-            source[id] = direct_source(&file.tokens, open, close);
-        }
-    }
-    // Fixpoint over callers: a fn calling a tainted fn is tainted.
-    let rev = g.reverse_over_approx();
-    let mut tainted: Vec<bool> = source.iter().map(|s| s.is_some()).collect();
-    let mut work: Vec<FnId> = (0..n).filter(|&i| tainted[i]).collect();
-    while let Some(v) = work.pop() {
-        for &caller in &rev[v] {
-            if !tainted[caller] {
-                tainted[caller] = true;
-                work.push(caller);
-            }
-        }
-    }
-
-    for id in 0..n {
-        if !tainted[id] {
-            continue;
-        }
-        let r = g.fns[id];
-        let f = &files[r.file].fns[r.item];
-        if !ENTRY_PREFIXES.iter().any(|p| f.name.starts_with(p)) {
-            continue;
-        }
-        if f.allows("entropy-taint") {
-            continue;
-        }
-        let (path, line, _) = line_snippet(files, g, id);
-        let chain = witness_chain(files, g, id, &source, &tainted);
-        out.push(Finding {
-            path,
-            line,
-            rule: "entropy-taint",
-            snippet: chain,
-        });
-    }
-}
-
-/// Deterministic witness: a shortest path (BFS, ids ascending) from
-/// `entry` to some fn with a direct entropy source.
-fn witness_chain(
-    files: &[FileItems],
-    g: &CallGraph,
-    entry: FnId,
-    source: &[Option<&'static str>],
-    tainted: &[bool],
-) -> String {
-    let mut prev: Vec<Option<FnId>> = vec![None; g.fns.len()];
-    let mut seen = vec![false; g.fns.len()];
-    let mut queue = std::collections::VecDeque::new();
-    seen[entry] = true;
-    queue.push_back(entry);
-    let mut hit = None;
-    'bfs: while let Some(v) = queue.pop_front() {
-        if let Some(label) = source[v] {
-            hit = Some((v, label));
-            break 'bfs;
-        }
-        let nexts: BTreeSet<FnId> = g.callees[v]
-            .iter()
-            .chain(g.dispatch[v].iter())
-            .chain(g.ambiguous[v].iter())
-            .copied()
-            .filter(|&w| tainted[w])
-            .collect();
-        for w in nexts {
-            if !seen[w] {
-                seen[w] = true;
-                prev[w] = Some(v);
-                queue.push_back(w);
-            }
-        }
-    }
-    let Some((end, label)) = hit else {
-        return format!("entropy reachable from {}", qual(files, g, entry));
-    };
-    let mut chain = vec![end];
-    while let Some(p) = prev[*chain.last().expect("nonempty")] {
-        chain.push(p);
-    }
-    chain.reverse();
-    let names: Vec<&str> = chain.iter().map(|&v| qual(files, g, v)).collect();
-    format!("entropy: {} -> [{label}]", names.join(" -> "))
 }
 
 // ---------------------------------------------------------------------
@@ -554,24 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn transitive_entropy_is_found_with_chain() {
-        let (fs, _) = run(&[(
-            "crates/core/src/a.rs",
-            "pub fn count_all() -> f64 { helper() }\n\
-             fn helper() -> f64 { now_ms() as f64 }\n\
-             fn now_ms() -> u64 { SystemTime::now() }\n",
-        )]);
-        assert_eq!(fs.len(), 1, "{fs:#?}");
-        assert_eq!(fs[0].rule, "entropy-taint");
-        assert_eq!(fs[0].line, 1);
-        assert!(
-            fs[0].snippet.contains("count_all -> helper -> now_ms"),
-            "{}",
-            fs[0].snippet
-        );
-    }
-
-    #[test]
     fn clean_rng_plumbing_passes_and_owned_rng_fails() {
         let (fs, _) = run(&[(
             "crates/core/src/a.rs",
@@ -640,36 +450,20 @@ mod tests {
     }
 
     #[test]
-    fn test_code_and_tooling_crates_are_out_of_scope() {
+    fn test_code_and_opted_out_crates_are_out_of_scope() {
         let (fs, stats) = run(&[
             (
                 "crates/core/src/a.rs",
                 "#[cfg(test)]\nmod tests {\n  fn t() { let mut r = X::new(); r.gen::<u8>(); }\n}\n",
             ),
             (
-                "crates/lint/src/b.rs",
+                "crates/bench/src/b.rs",
                 "fn owned() { let mut r = X::new(); r.gen::<u8>(); }\n",
             ),
         ]);
         assert!(fs.is_empty(), "{fs:#?}");
-        assert_eq!(
-            stats.files_scanned, 1,
-            "the lint crate is out of flow scope"
-        );
+        assert_eq!(stats.files_scanned, 1, "bench is not a replay crate");
         assert_eq!(stats.functions, 0, "cfg(test) fns are out");
-    }
-
-    #[test]
-    fn bench_crate_is_in_flow_scope() {
-        // Bench was exempt before the dhs-types upgrade; its KPI
-        // emitters feed the gated trajectory, so flow rules apply now.
-        let (fs, stats) = run(&[(
-            "crates/bench/src/b.rs",
-            "fn owned() { let mut r = X::new(); r.gen::<u8>(); }\n",
-        )]);
-        assert_eq!(stats.files_scanned, 1);
-        assert_eq!(fs.len(), 1, "{fs:#?}");
-        assert_eq!(fs[0].rule, "rng-plumbing");
     }
 
     #[test]
@@ -682,23 +476,5 @@ mod tests {
              fn f() {\n    // dhs-flow: allow(dropped-result) — fire and forget\n    let _ = send();\n}\n",
         )]);
         assert!(fs.is_empty(), "{fs:#?}");
-    }
-
-    #[test]
-    fn typed_receivers_cut_false_taint_pairings() {
-        // Pre-dhs-types both entries were flagged: `tick` resolved by
-        // name to {A::tick, B::tick} and the taint over-approximated.
-        let (fs, stats) = run(&[(
-            "crates/net/src/a.rs",
-            "struct A;\nimpl A {\n  fn tick(&self) -> u64 { SystemTime::now() }\n}\n\
-             struct B;\nimpl B {\n  fn tick(&self) -> u64 { 0 }\n}\n\
-             pub fn run_clock(a: &A) -> u64 { a.tick() }\n\
-             pub fn run_quiet(b: &B) -> u64 { b.tick() }\n",
-        )]);
-        assert_eq!(stats.ambiguous_calls, 0);
-        assert_eq!(stats.sites_resolved, 2);
-        assert_eq!(fs.len(), 1, "{fs:#?}");
-        assert_eq!(fs[0].rule, "entropy-taint");
-        assert_eq!(fs[0].line, 9);
     }
 }

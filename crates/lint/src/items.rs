@@ -32,16 +32,6 @@ pub struct FnItem {
     pub qual_name: String,
     /// The impl/trait self-type this fn is a method of, if any.
     pub self_type: Option<String>,
-    /// The trait being implemented when inside `impl Trait for Type`.
-    pub trait_of: Option<String>,
-    /// Declared inside a `trait X { … }` block (decl or default body).
-    pub in_trait: bool,
-    /// Token range `[fn_kw, body_open_or_semi]` of the signature, for
-    /// the type layer ([`crate::types`]) to parse params/return/bounds.
-    pub sig: (usize, usize),
-    /// Token range `[kw, open_brace]` of the enclosing impl/trait
-    /// header, if any — carries impl-level generic bounds.
-    pub outer_header: Option<(usize, usize)>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Signature receives a caller-supplied RNG: an `Rng` bound appears
@@ -101,8 +91,9 @@ pub fn parse_items(path: &str, source: &str) -> FileItems {
     let cycle_lines = cycle_ok_lines(&lexed.comments, &toks);
 
     let mut fns = Vec::new();
-    // Stack of enclosing impl/trait contexts.
-    let mut ctx: Vec<ImplCtx> = Vec::new();
+    // Stack of enclosing impl/trait contexts: (depth at open, self type,
+    // impl-level Rng bound).
+    let mut ctx: Vec<(usize, Option<String>, bool)> = Vec::new();
     let mut depth = 0usize;
     let mut i = 0usize;
     while i < toks.len() {
@@ -113,32 +104,25 @@ pub fn parse_items(path: &str, source: &str) -> FileItems {
             }
             Tok::Punct('}') => {
                 depth = depth.saturating_sub(1);
-                while ctx.last().is_some_and(|c| c.depth > depth) {
+                while ctx.last().is_some_and(|&(d, _, _)| d > depth) {
                     ctx.pop();
                 }
                 i += 1;
             }
             Tok::Ident(kw) if kw == "impl" || kw == "trait" => {
-                let is_trait = kw == "trait";
-                let (self_type, trait_of, rng, open) = parse_impl_header(&toks, i, is_trait);
+                let (self_type, rng, open) = parse_impl_header(&toks, i, kw == "trait");
                 match open {
                     Some(open) => {
                         depth += 1;
-                        ctx.push(ImplCtx {
-                            depth,
-                            self_type,
-                            trait_of,
-                            in_trait: is_trait,
-                            rng,
-                            header: (i, open),
-                        });
+                        ctx.push((depth, self_type, rng));
                         i = open + 1;
                     }
                     None => i += 1, // `impl Trait` in type position etc.
                 }
             }
             Tok::Ident(kw) if kw == "fn" => {
-                let item = parse_fn(&toks, i, ctx.last());
+                let inherited = ctx.last().cloned().unwrap_or((0, None, false));
+                let item = parse_fn(&toks, i, &inherited.1, inherited.2);
                 let (item, next) = match item {
                     Some(v) => v,
                     None => {
@@ -205,34 +189,15 @@ fn cycle_ok_lines(comments: &[crate::lexer::Comment], toks: &[Token]) -> BTreeSe
     out
 }
 
-/// One enclosing `impl`/`trait` context while scanning for fns.
-#[derive(Debug, Clone)]
-struct ImplCtx {
-    /// Brace depth just inside the block.
-    depth: usize,
-    /// Self type (`impl Ring`, `impl Tr for Ring` → `Ring`; `trait X` →
-    /// `X`).
-    self_type: Option<String>,
-    /// Trait name for `impl Trait for Type` blocks.
-    trait_of: Option<String>,
-    /// This is a `trait { … }` declaration block.
-    in_trait: bool,
-    /// Header mentions an `Rng` bound.
-    rng: bool,
-    /// Token range `[kw, open_brace]` of the header.
-    header: (usize, usize),
-}
-
 /// Parse an `impl`/`trait` header starting at the keyword token.
-/// Returns `(self_type, trait_of, has_rng_bound, index_of_open_brace)`;
-/// `None` brace when the header never reaches a `{` (e.g. `impl Trait`
-/// used in type position — the lexer stream makes these rare in
-/// practice).
+/// Returns `(self_type, has_rng_bound, index_of_open_brace)`; `None`
+/// brace when the header never reaches a `{` (e.g. `impl Trait` used in
+/// type position — the lexer stream makes these rare in practice).
 fn parse_impl_header(
     toks: &[Token],
     kw: usize,
     is_trait: bool,
-) -> (Option<String>, Option<String>, bool, Option<usize>) {
+) -> (Option<String>, bool, Option<usize>) {
     let mut i = kw + 1;
     let mut rng = false;
     // Generic parameter list on the impl/trait itself.
@@ -263,17 +228,16 @@ fn parse_impl_header(
     while i < toks.len() {
         match &toks[i].kind {
             Tok::Punct('{') => {
-                let (self_type, trait_of) = if is_trait {
-                    (first_ident, None)
+                let self_type = if is_trait {
+                    first_ident
                 } else if saw_for {
-                    // `impl Trait for Type`: the first path is the trait.
-                    (after_for, first_ident)
+                    after_for
                 } else {
-                    (first_ident, None)
+                    first_ident
                 };
-                return (self_type, trait_of, rng, Some(i));
+                return (self_type, rng, Some(i));
             }
-            Tok::Punct(';') => return (None, None, rng, None),
+            Tok::Punct(';') => return (None, rng, None),
             Tok::Ident(s) if s == "for" => saw_for = true,
             Tok::Ident(s) if s == "Rng" => rng = true,
             Tok::Ident(s) if s == "where" || s == "dyn" || s == "mut" => {}
@@ -298,20 +262,24 @@ fn parse_impl_header(
         }
         i += 1;
     }
-    (None, None, rng, None)
+    (None, rng, None)
 }
 
 /// Parse one `fn` item starting at the `fn` keyword. Returns the item
 /// plus the token index to resume scanning at (just past the signature,
 /// so nested fns inside the body are still discovered).
-fn parse_fn(toks: &[Token], kw: usize, ctx: Option<&ImplCtx>) -> Option<(FnItem, usize)> {
-    let self_type = ctx.and_then(|c| c.self_type.clone());
+fn parse_fn(
+    toks: &[Token],
+    kw: usize,
+    self_type: &Option<String>,
+    impl_rng: bool,
+) -> Option<(FnItem, usize)> {
     let name = match toks.get(kw + 1).map(|t| &t.kind) {
         Some(Tok::Ident(s)) => s.clone(),
         _ => return None,
     };
     let mut i = kw + 2;
-    let mut rng = ctx.is_some_and(|c| c.rng);
+    let mut rng = impl_rng;
     // Fn generics.
     if toks.get(i).map(|t| &t.kind) == Some(&Tok::Punct('<')) {
         let mut gd = 0usize;
@@ -362,13 +330,9 @@ fn parse_fn(toks: &[Token], kw: usize, ctx: Option<&ImplCtx>) -> Option<(FnItem,
             }
             Some(Tok::Punct(';')) => {
                 let item = FnItem {
-                    qual_name: qualify(&self_type, &name),
+                    qual_name: qualify(self_type, &name),
                     name,
                     self_type: self_type.clone(),
-                    trait_of: ctx.and_then(|c| c.trait_of.clone()),
-                    in_trait: ctx.is_some_and(|c| c.in_trait),
-                    sig: (kw, i),
-                    outer_header: ctx.map(|c| c.header),
                     line: toks[kw].line,
                     has_rng_param: rng,
                     returns_result,
@@ -412,13 +376,9 @@ fn parse_fn(toks: &[Token], kw: usize, ctx: Option<&ImplCtx>) -> Option<(FnItem,
     }
     let close = close.unwrap_or(toks.len() - 1);
     let item = FnItem {
-        qual_name: qualify(&self_type, &name),
+        qual_name: qualify(self_type, &name),
         name,
         self_type: self_type.clone(),
-        trait_of: ctx.and_then(|c| c.trait_of.clone()),
-        in_trait: ctx.is_some_and(|c| c.in_trait),
-        sig: (kw, sig_end),
-        outer_header: ctx.map(|c| c.header),
         line: toks[kw].line,
         has_rng_param: rng,
         returns_result,

@@ -28,9 +28,8 @@ pub enum Tok {
     Char,
     /// Lifetime (`'a`); distinct from `Char` so rules never mix them up.
     Lifetime,
-    /// Numeric literal, including any type suffix; carries the raw
-    /// source text so range analyses can read the value.
-    Num(String),
+    /// Numeric literal, including any type suffix.
+    Num,
     /// Single punctuation character (`.`, `(`, `::` is two `:` tokens).
     Punct(char),
 }
@@ -323,7 +322,6 @@ impl Lexer {
         // Digits, hex/bin/oct bodies, `_` separators, type suffixes; one
         // decimal point only when followed by a digit (so `0..8` stays a
         // range, not a float).
-        let mut text = String::new();
         while let Some(c) = self.peek(0) {
             let in_number = c.is_ascii_alphanumeric()
                 || c == '_'
@@ -331,10 +329,9 @@ impl Lexer {
             if !in_number {
                 break;
             }
-            text.push(c);
             self.bump();
         }
-        self.push(Tok::Num(text), line);
+        self.push(Tok::Num, line);
     }
 }
 

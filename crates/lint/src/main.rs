@@ -4,33 +4,24 @@
 //! Usage:
 //!
 //! ```text
-//! dhs-lint                   # token rules over the enclosing workspace
-//! dhs-lint <dir>             # token rules over the workspace at <dir>
-//! dhs-lint --flow [dir]      # interprocedural flow rules instead
-//! dhs-lint --stats [dir]     # sorted call-resolution summary (text)
-//! dhs-lint --stats-json [dir]# same counters as a sorted-key JSON
-//!                            # object (the baseline scripts/check.sh
-//!                            # ratchets)
+//! dhs-lint                 # token rules over the enclosing workspace
+//! dhs-lint <dir>           # token rules over the workspace at <dir>
+//! dhs-lint --flow [dir]    # interprocedural flow rules instead
 //! ```
 //!
 //! Exit status: 0 when clean, 1 when any finding survives, 2 on I/O
-//! or usage errors. `--stats`/`--stats-json` always exit 0/2: the
-//! ratchet comparison lives in check.sh against the committed baseline
-//! file.
+//! or usage errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dhs_lint::report::{render_stats, render_stats_json};
 use dhs_lint::walk::find_workspace_root;
 use dhs_lint::{flow_workspace, lint_workspace, render_flow_jsonl, render_jsonl};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let flow = args.iter().any(|a| a == "--flow");
-    let stats_json = args.iter().any(|a| a == "--stats-json");
-    let stats_only = stats_json || args.iter().any(|a| a == "--stats");
-    args.retain(|a| a != "--flow" && a != "--stats" && a != "--stats-json");
+    args.retain(|a| a != "--flow");
     let root = match args.as_slice() {
         [] => {
             // Prefer the manifest dir so `cargo run -p dhs-lint` works
@@ -48,21 +39,12 @@ fn main() -> ExitCode {
         }
         [dir] => PathBuf::from(dir),
         _ => {
-            eprintln!("usage: dhs-lint [--flow | --stats | --stats-json] [workspace-root]");
+            eprintln!("usage: dhs-lint [--flow] [workspace-root]");
             return ExitCode::from(2);
         }
     };
 
-    let rendered = if stats_only {
-        flow_workspace(&root).map(|(_, stats)| {
-            let out = if stats_json {
-                render_stats_json(&stats)
-            } else {
-                render_stats(&stats)
-            };
-            (out, true)
-        })
-    } else if flow {
+    let rendered = if flow {
         flow_workspace(&root).map(|(findings, stats)| {
             let clean = findings.is_empty();
             (render_flow_jsonl(&findings, &stats), clean)

@@ -8,11 +8,8 @@
 use crate::flow::FlowStats;
 use crate::rules::Finding;
 
-/// Render findings (plus a summary line) as JSONL.
-///
-/// The caller passes `files_scanned` so the summary reflects coverage
-/// even when there are zero findings.
-pub fn render_jsonl(findings: &[Finding], files_scanned: usize) -> String {
+/// One JSON object per finding, sorted.
+fn render_findings(findings: &[Finding]) -> String {
     let mut sorted: Vec<&Finding> = findings.iter().collect();
     sorted.sort();
     let mut out = String::new();
@@ -25,6 +22,15 @@ pub fn render_jsonl(findings: &[Finding], files_scanned: usize) -> String {
             escape(&f.snippet),
         ));
     }
+    out
+}
+
+/// Render findings (plus a summary line) as JSONL.
+///
+/// The caller passes `files_scanned` so the summary reflects coverage
+/// even when there are zero findings.
+pub fn render_jsonl(findings: &[Finding], files_scanned: usize) -> String {
+    let mut out = render_findings(findings);
     out.push_str(&format!(
         "{{\"files_scanned\":{},\"findings\":{}}}\n",
         files_scanned,
@@ -37,84 +43,14 @@ pub fn render_jsonl(findings: &[Finding], files_scanned: usize) -> String {
 /// lines share the token-rule shape; the summary additionally carries
 /// call-graph statistics so coverage regressions are visible in diffs.
 pub fn render_flow_jsonl(findings: &[Finding], stats: &FlowStats) -> String {
-    let mut sorted: Vec<&Finding> = findings.iter().collect();
-    sorted.sort();
-    let mut out = String::new();
-    for f in sorted {
-        out.push_str(&format!(
-            "{{\"path\":{},\"line\":{},\"rule\":{},\"snippet\":{}}}\n",
-            escape(&f.path),
-            f.line,
-            escape(f.rule),
-            escape(&f.snippet),
-        ));
-    }
+    let mut out = render_findings(findings);
     out.push_str(&format!(
-        "{{\"files_scanned\":{},\"functions\":{},\"resolved_edges\":{},\"dispatch_edges\":{},\
-         \"sites_resolved\":{},\"sites_dispatch\":{},\"sites_external\":{},\"ambiguous_calls\":{},\
-         \"closure_typed_sites\":{},\"draw_parity_fns\":{},\"casts_proven_safe\":{},\
-         \"resolution_rate_bp\":{},\"findings\":{}}}\n",
+        "{{\"files_scanned\":{},\"functions\":{},\"resolved_edges\":{},\"findings\":{}}}\n",
         stats.files_scanned,
         stats.functions,
         stats.resolved_edges,
-        stats.dispatch_edges,
-        stats.sites_resolved,
-        stats.sites_dispatch,
-        stats.sites_external,
-        stats.ambiguous_calls,
-        stats.closure_typed_sites,
-        stats.draw_parity_fns,
-        stats.casts_proven_safe,
-        stats.resolution_rate_bp(),
         findings.len()
     ));
-    out
-}
-
-/// The resolution/analysis summary as sorted `(key, value)` pairs —
-/// the single source of truth for both stats renderers, so the text
-/// and JSON forms can never disagree on a counter.
-fn stats_pairs(stats: &FlowStats) -> Vec<(&'static str, usize)> {
-    vec![
-        ("ambiguous_calls", stats.ambiguous_calls),
-        ("casts_proven_safe", stats.casts_proven_safe),
-        ("closure_typed_sites", stats.closure_typed_sites),
-        ("dispatch_edges", stats.dispatch_edges),
-        ("draw_parity_fns", stats.draw_parity_fns),
-        ("files_scanned", stats.files_scanned),
-        ("functions", stats.functions),
-        ("resolution_rate_bp", stats.resolution_rate_bp()),
-        ("resolved_edges", stats.resolved_edges),
-        ("sites_dispatch", stats.sites_dispatch),
-        ("sites_external", stats.sites_external),
-        ("sites_resolved", stats.sites_resolved),
-        ("sites_total", stats.sites_total()),
-    ]
-}
-
-/// Render the sorted `key value` resolution summary for
-/// `dhs-lint --stats` (human-oriented; the check.sh ratchet reads the
-/// JSON form from [`render_stats_json`]).
-pub fn render_stats(stats: &FlowStats) -> String {
-    let mut out = String::new();
-    for (k, v) in stats_pairs(stats) {
-        out.push_str(&format!("{k} {v}\n"));
-    }
-    out
-}
-
-/// Render the resolution summary as a pretty JSON object with sorted
-/// keys, one per line — the machine-readable form `dhs-lint
-/// --stats-json` emits and `scripts/check.sh` ratchets against the
-/// committed `crates/lint/baseline_resolution.txt`.
-pub fn render_stats_json(stats: &FlowStats) -> String {
-    let pairs = stats_pairs(stats);
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        let comma = if i + 1 < pairs.len() { "," } else { "" };
-        out.push_str(&format!("  \"{k}\": {v}{comma}\n"));
-    }
-    out.push_str("}\n");
     out
 }
 
@@ -215,71 +151,20 @@ mod tests {
         assert!(out.contains("a\\u0001b\\u001fc"), "{out}");
     }
 
-    fn sample_stats() -> FlowStats {
-        FlowStats {
+    #[test]
+    fn flow_summary_carries_graph_stats() {
+        let stats = FlowStats {
             files_scanned: 5,
             functions: 12,
             resolved_edges: 9,
-            dispatch_edges: 3,
-            sites_resolved: 10,
-            sites_dispatch: 4,
-            sites_external: 4,
-            ambiguous_calls: 2,
-            closure_typed_sites: 6,
-            draw_parity_fns: 7,
-            casts_proven_safe: 8,
-        }
-    }
-
-    #[test]
-    fn flow_summary_carries_graph_stats() {
-        let out = render_flow_jsonl(&[finding("a.rs", 1, "rng-plumbing")], &sample_stats());
+        };
+        let out = render_flow_jsonl(&[finding("a.rs", 1, "rng-plumbing")], &stats);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[1],
-            "{\"files_scanned\":5,\"functions\":12,\"resolved_edges\":9,\"dispatch_edges\":3,\
-             \"sites_resolved\":10,\"sites_dispatch\":4,\"sites_external\":4,\"ambiguous_calls\":2,\
-             \"closure_typed_sites\":6,\"draw_parity_fns\":7,\"casts_proven_safe\":8,\
-             \"resolution_rate_bp\":9000,\"findings\":1}"
+            "{\"files_scanned\":5,\"functions\":12,\"resolved_edges\":9,\
+             \"findings\":1}"
         );
-    }
-
-    #[test]
-    fn stats_lines_are_sorted_key_value_pairs() {
-        let stats = sample_stats();
-        let out = render_stats(&stats);
-        let lines: Vec<&str> = out.lines().collect();
-        let mut sorted = lines.clone();
-        sorted.sort();
-        assert_eq!(lines, sorted);
-        assert!(lines.contains(&"ambiguous_calls 2"));
-        assert!(lines.contains(&"resolution_rate_bp 9000"));
-        assert!(lines.contains(&"closure_typed_sites 6"));
-        assert!(lines.contains(&"draw_parity_fns 7"));
-        assert!(lines.contains(&"casts_proven_safe 8"));
-        assert!(lines.contains(&"sites_total 20"));
-        // Byte-identical across renders — check.sh cmp's two runs.
-        assert_eq!(out, render_stats(&stats));
-    }
-
-    #[test]
-    fn stats_json_is_sorted_and_parseable() {
-        let stats = sample_stats();
-        let out = render_stats_json(&stats);
-        assert_eq!(
-            out,
-            "{\n  \"ambiguous_calls\": 2,\n  \"casts_proven_safe\": 8,\n  \
-             \"closure_typed_sites\": 6,\n  \"dispatch_edges\": 3,\n  \
-             \"draw_parity_fns\": 7,\n  \"files_scanned\": 5,\n  \"functions\": 12,\n  \
-             \"resolution_rate_bp\": 9000,\n  \"resolved_edges\": 9,\n  \
-             \"sites_dispatch\": 4,\n  \"sites_external\": 4,\n  \"sites_resolved\": 10,\n  \
-             \"sites_total\": 20\n}\n"
-        );
-        // Text and JSON forms agree on every counter.
-        for line in render_stats(&stats).lines() {
-            let (k, v) = line.split_once(' ').expect("key value");
-            assert!(out.contains(&format!("\"{k}\": {v}")), "{k} missing");
-        }
     }
 }

@@ -11,9 +11,9 @@
 //! | `panic_hygiene` | `unwrap()` / `expect()` / `panic!` in library code        |
 //!
 //! Scope gating is by path (see [`FileClass`]): `#[cfg(test)]` regions
-//! are always exempt, as are the `shims` and `bench` crates and the lint
-//! crate itself (whose sources and fixtures necessarily spell out the
-//! forbidden patterns).
+//! are always exempt, as are the `shims` crates, the lint crate itself
+//! (whose sources and fixtures necessarily spell out the forbidden
+//! patterns) and — except for `metric_names` — `bench`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,7 +33,6 @@ pub const REPLAY_OPT_OUT: &[&str] = &[
     "histogram", // plotting/report helper, no replay surface
     "lint",      // this tool (its sources spell out banned patterns)
     "shims",     // vendored stand-ins for external crates
-    "workload",  // generator CLI, seeds its own streams
 ];
 
 /// Crates opted *out* of the metric-name rule. `bench` is in scope
@@ -61,12 +60,11 @@ pub fn metric_name_scope(crate_name: &str) -> bool {
 }
 
 /// Is this file in scope for the interprocedural flow analysis?
-/// Library sources of every crate except the shims and the lint tool
-/// itself — wider than [`replay_scope`] because `bench` library code
-/// participates in the call graph (its KPI emitters call into replay
-/// crates).
+/// Library sources of the replay crates: the flow rules guard replay
+/// invariants (RNG plumbing, delivery results, bounded recursion), so
+/// they run exactly where the replay token rules run.
 pub fn flow_scope(class: &FileClass) -> bool {
-    class.is_library && !matches!(class.crate_name.as_str(), "shims" | "lint")
+    class.is_library && replay_scope(&class.crate_name)
 }
 
 /// The only replay-path modules allowed to spawn threads or take locks:
@@ -469,9 +467,17 @@ fn determinism(ctx: &mut Ctx<'_>, toks: &[Token]) {
         if !is_hash_ty(&toks[i].kind) {
             continue;
         }
+        // See through a leading path (`std::collections::HashMap`).
+        let mut start = i;
+        while start >= 3
+            && matches(toks, start - 2, &[p(':'), p(':')])
+            && matches!(toks[start - 3].kind, Tok::Ident(_))
+        {
+            start -= 3;
+        }
         // `name: [&[mut]] HashMap<…>` (struct field / param / let with
         // type) — skip reference/mut prefixes back to the `:`.
-        let mut k = i;
+        let mut k = start;
         while k >= 1 && (toks[k - 1].kind == Tok::Punct('&') || is_ident(&toks[k - 1], "mut")) {
             k -= 1;
         }
@@ -483,7 +489,9 @@ fn determinism(ctx: &mut Ctx<'_>, toks: &[Token]) {
         // `let [mut] name … = HashMap::…;` — scan back to the `let` of
         // the statement (bounded window keeps this O(1) per token).
         for back in 1..=8usize {
-            let Some(j) = i.checked_sub(back) else { break };
+            let Some(j) = start.checked_sub(back) else {
+                break;
+            };
             match &toks[j].kind {
                 Tok::Ident(s) if s == "let" => {
                     let k = if is_ident_at(toks, j + 1, "mut") {

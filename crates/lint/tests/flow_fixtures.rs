@@ -35,17 +35,6 @@ fn check(case: &str) {
 }
 
 #[test]
-fn entropy_taint_crosses_crates_with_witness_chain() {
-    check("entropy");
-    let got = run_case("entropy");
-    assert!(
-        got.contains("count_interval -> pick_start -> clock_ms -> [SystemTime]"),
-        "{got}"
-    );
-    assert!(!got.contains("count_seeded"), "rng-param entry is clean");
-}
-
-#[test]
 fn owned_rng_is_flagged_and_every_plumbed_variant_is_clean() {
     check("plumbing");
     let got = run_case("plumbing");
@@ -74,107 +63,8 @@ fn fully_plumbed_workspace_is_clean() {
 }
 
 #[test]
-fn receiver_types_split_same_name_methods_and_dispatch_inherits_taint() {
-    check("dispatch");
-    let got = run_case("dispatch");
-    // The typed resolution sends each `advance` call to its own impl:
-    // only the clocked chain and the dyn dispatch are tainted.
-    assert!(
-        got.contains("count_clocked -> Clocked::advance -> [SystemTime]"),
-        "{got}"
-    );
-    assert!(
-        got.contains("count_any -> Clocked::advance -> [SystemTime]"),
-        "{got}"
-    );
-    assert!(!got.contains("count_seeded"), "seeded impl is clean: {got}");
-    assert!(
-        !got.contains("count_registry"),
-        "chained receiver types to Seeded: {got}"
-    );
-    assert!(got.contains("\"ambiguous_calls\":0"), "{got}");
-}
-
-#[test]
-fn undraining_submit_is_a_leak_and_self_draining_fn_is_clean() {
-    check("protocol_submit");
-    let got = run_case("protocol_submit");
-    assert_eq!(
-        got.matches("protocol-submit-completion").count(),
-        1,
-        "{got}"
-    );
-    assert!(!got.contains("fire_and_drain"), "{got}");
-}
-
-#[test]
-fn draws_and_recorder_calls_inside_the_inflight_window_are_flagged() {
-    check("protocol_effects");
-    let got = run_case("protocol_effects");
-    assert_eq!(got.matches("protocol-inflight-effects").count(), 2, "{got}");
-}
-
-#[test]
-fn direct_sync_exchange_outside_machine_modules_is_flagged() {
-    check("protocol_exchange");
-    let got = run_case("protocol_exchange");
-    assert_eq!(got.matches("protocol-sync-exchange").count(), 2, "{got}");
-    assert!(
-        !got.contains("exec_send"),
-        "approved module is clean: {got}"
-    );
-}
-
-#[test]
-fn unequal_branch_draws_flagged_direct_and_through_callees() {
-    check("draw_parity");
-    let got = run_case("draw_parity");
-    assert_eq!(got.matches("rng-draw-parity").count(), 2, "{got}");
-    assert!(got.contains("step_hinted"), "direct divergence: {got}");
-    assert!(got.contains("refill_on_miss"), "callee summary: {got}");
-    assert!(
-        !got.contains("scan_balanced"),
-        "per-iteration parity: {got}"
-    );
-    assert!(!got.contains("probe_or_draw"), "allow silences: {got}");
-    assert!(
-        !got.contains("jitter"),
-        "out-of-scope fn not analyzed: {got}"
-    );
-}
-
-#[test]
-fn oversized_cast_operands_flagged_and_bounded_ones_prove() {
-    check("cast_range");
-    let got = run_case("cast_range");
-    assert_eq!(got.matches("\"rule\":\"cast-range\"").count(), 2, "{got}");
-    assert!(
-        got.contains("truncate_const") || got.contains("OVERSIZED"),
-        "{got}"
-    );
-    assert!(got.contains("checked_cast"), "remediation named: {got}");
-    assert!(got.contains("\"casts_proven_safe\":4"), "{got}");
-    assert!(
-        !got.contains("passthrough"),
-        "unbounded stays untriaged: {got}"
-    );
-}
-
-#[test]
 fn flow_analysis_is_deterministic_per_case() {
-    for case in [
-        "cast_range",
-        "cycles",
-        "dispatch",
-        "draw_parity",
-        "dropped",
-        "entropy",
-        "flow_clean",
-        "plumbing",
-        "protocol_effects",
-        "protocol_exchange",
-        "protocol_submit",
-    ] {
+    for case in ["cycles", "dropped", "flow_clean", "plumbing"] {
         assert_eq!(run_case(case), run_case(case), "case `{case}`");
     }
 }

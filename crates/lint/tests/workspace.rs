@@ -70,6 +70,8 @@ fn opt_out_lists_stay_subsets_of_the_real_member_list() {
     // And the derived scopes are exactly members minus opt-outs.
     let replay = dhs_lint::walk::derived_replay_crates(workspace_root()).unwrap();
     assert!(replay.contains(&"core".to_string()) && !replay.contains(&"bench".to_string()));
+    // core, net and par replay the workload generator's streams.
+    assert!(replay.contains(&"workload".to_string()));
     let metric = dhs_lint::walk::derived_metric_name_crates(workspace_root()).unwrap();
     assert!(metric.contains(&"bench".to_string()) && !metric.contains(&"sketch".to_string()));
 }

@@ -162,11 +162,6 @@ impl SimTransport {
     // seeded RNG: the simulator's entropy is deliberately a separate
     // stream from the protocol's so fault schedules replay identically
     // regardless of how many probes the protocol makes.
-    // dhs-flow: allow(rng-draw-parity) — the jitter draw is gated on a
-    // run-constant config field, so the per-path draw counts differ
-    // only across configs, never across same-config replays. Drawing
-    // unconditionally would shift the stream for every zero-jitter
-    // config and invalidate the committed trajectory digests.
     fn sample_delay(&mut self, legs: u64) -> u64 {
         let mut delay = 0u64;
         for _ in 0..legs {

@@ -79,10 +79,6 @@ impl CompletionLab {
     }
 
     /// Complete the pending send at a seeded-uniform position.
-    // dhs-flow: allow(rng-draw-parity) — the empty-queue early return
-    // consumes no draw by design: emptiness is deterministic driver
-    // state, and skipping the position draw when there is nothing to
-    // pop keeps the scheduler stream aligned with the submission count.
     pub fn pop_seeded(&mut self, sched: &mut impl Rng) -> Option<Submission> {
         if self.pending.is_empty() {
             return None;

@@ -2,9 +2,9 @@
 //!
 //! Two layers on top of the `dhs-core` request state machines:
 //!
-//! * [`lab`] (feature `ooo`, on by default) — a completion-based
-//!   transport shim: sends are *submitted* to a [`lab::CompletionLab`]
-//!   and *completed* later, in any seeded permutation. Because
+//! * [`lab`] — a completion-based transport shim: sends are
+//!   *submitted* to a [`lab::CompletionLab`] and *completed* later, in
+//!   any seeded permutation. Because
 //!   [`dhs_core::ScanMachine`] and [`dhs_core::StoreMachine`] keep all
 //!   in-flight state explicit, replaying completions out of order
 //!   cannot change an estimate: same seed ⇒ bit-identical registers,
@@ -25,11 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod driver;
-#[cfg(feature = "ooo")]
 pub mod lab;
 pub mod rng;
 
 pub use driver::{run_saturation, SatConfig, SatReport, WorkerStats};
-#[cfg(feature = "ooo")]
 pub use lab::{drive_store_ooo, CompletionLab, OooEngine, OooStats, Submission};
 pub use rng::CountingRng;

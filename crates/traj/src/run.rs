@@ -253,9 +253,6 @@ pub fn extract_kpi(m: &MetricsRegistry, source: &KpiSource) -> Result<f64, Strin
 /// A runner error fails that job but not the run; the report carries the
 /// error text. `commit` and `tool` stamp the provenance (callers usually
 /// pass `DHS_COMMIT` and their crate version).
-// dhs-flow: allow(entropy-taint) — taint enters only through the
-// caller-supplied JobRunner dispatch; determinism is the runner's
-// contract, and the seed threading below is the replay mechanism
 pub fn run_ablation(
     plan: &AblationPlan,
     seed: u64,

