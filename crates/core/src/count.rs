@@ -31,7 +31,7 @@ use crate::fast::ScanHint;
 use crate::insert::Dhs;
 use crate::machine::{drive_scan_in_order, ScanMachine};
 use crate::stats::CountResult;
-use crate::transport::{end_span, start_span, DirectTransport, Transport};
+use crate::transport::{DirectTransport, Transport};
 use crate::tuple::MetricId;
 
 impl Dhs {
@@ -44,10 +44,7 @@ impl Dhs {
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
     ) -> CountResult {
-        self.count_multi(ring, &[metric], origin, rng, ledger)
-            .pop()
-            // dhs-lint: allow(panic_hygiene) — invariant: the batch API returns exactly one result per metric.
-            .expect("one metric in, one result out")
+        self.count_via(ring, &mut DirectTransport, metric, origin, rng, ledger)
     }
 
     /// [`Self::count`] over an explicit [`Transport`] — probes that time
@@ -62,15 +59,16 @@ impl Dhs {
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
     ) -> CountResult {
-        self.count_multi_via(ring, transport, &[metric], origin, rng, ledger)
+        self.scan(ring, transport, None, &[metric], origin, rng, ledger)
             .pop()
-            // dhs-lint: allow(panic_hygiene) — invariant: the batch API returns exactly one result per metric.
+            // dhs-lint: allow(panic_hygiene) — invariant: the scan returns exactly one result per metric.
             .expect("one metric in, one result out")
     }
 
     /// Estimate several metrics in one scan (multi-dimensional counting,
     /// §4.2). The scan's cost is shared: every returned result carries the
-    /// same operation-total [`CountStats`](crate::CountStats).
+    /// same operation-total [`CountStats`](crate::CountStats). An empty
+    /// metric list is an empty operation: no results, no traffic.
     pub fn count_multi<O: Overlay>(
         &self,
         ring: &O,
@@ -92,69 +90,13 @@ impl Dhs {
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
     ) -> Vec<CountResult> {
-        self.count_multi_inner(ring, transport, metrics, origin, rng, ledger, None)
+        self.scan(ring, transport, None, metrics, origin, rng, ledger)
     }
 
     /// [`Self::count`] with an adaptive scan start: the downward scan
     /// begins at the rank a remembered prior estimate bounds, instead of
-    /// at the top of the key space. Registers and estimate are identical
-    /// to the full scan's (see [`Self::count_multi_hinted_via`]); only
-    /// the cost shrinks. The result updates `hint` for the next call.
-    pub fn count_hinted<O: Overlay>(
-        &self,
-        ring: &O,
-        hint: &mut ScanHint,
-        metric: MetricId,
-        origin: u64,
-        rng: &mut impl Rng,
-        ledger: &mut CostLedger,
-    ) -> CountResult {
-        self.count_multi_hinted(ring, hint, &[metric], origin, rng, ledger)
-            .pop()
-            // dhs-lint: allow(panic_hygiene) — invariant: the batch API returns exactly one result per metric.
-            .expect("one metric in, one result out")
-    }
-
-    /// [`Self::count_hinted`] over an explicit [`Transport`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn count_hinted_via<O: Overlay, T: Transport>(
-        &self,
-        ring: &O,
-        transport: &mut T,
-        hint: &mut ScanHint,
-        metric: MetricId,
-        origin: u64,
-        rng: &mut impl Rng,
-        ledger: &mut CostLedger,
-    ) -> CountResult {
-        self.count_multi_hinted_via(ring, transport, hint, &[metric], origin, rng, ledger)
-            .pop()
-            // dhs-lint: allow(panic_hygiene) — invariant: the batch API returns exactly one result per metric.
-            .expect("one metric in, one result out")
-    }
-
-    /// Multi-metric [`Self::count_hinted`].
-    pub fn count_multi_hinted<O: Overlay>(
-        &self,
-        ring: &O,
-        hint: &mut ScanHint,
-        metrics: &[MetricId],
-        origin: u64,
-        rng: &mut impl Rng,
-        ledger: &mut CostLedger,
-    ) -> Vec<CountResult> {
-        self.count_multi_hinted_via(
-            ring,
-            &mut DirectTransport,
-            hint,
-            metrics,
-            origin,
-            rng,
-            ledger,
-        )
-    }
-
-    /// [`Self::count_multi_hinted`] over an explicit [`Transport`].
+    /// at the top of the key space. The result updates `hint` for the
+    /// next call.
     ///
     /// The hint only licenses two *exact* shortcuts above the start rank:
     /// structurally empty intervals (ranks ≥ `rank_bits()`, which
@@ -165,114 +107,71 @@ impl Dhs {
     /// key RNG draws are preserved for skipped ranks — so over a reliable
     /// transport, same-seed hinted and unhinted counts return
     /// byte-identical registers and estimates no matter how wrong the
-    /// prior was. PCSA scans upward and ignores hints.
-    #[allow(clippy::too_many_arguments)]
-    pub fn count_multi_hinted_via<O: Overlay, T: Transport>(
+    /// prior was; only the cost shrinks. PCSA scans upward and ignores
+    /// hints.
+    pub fn count_hinted<O: Overlay>(
         &self,
         ring: &O,
-        transport: &mut T,
         hint: &mut ScanHint,
-        metrics: &[MetricId],
+        metric: MetricId,
         origin: u64,
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
-    ) -> Vec<CountResult> {
-        let start = match self.config().estimator {
-            EstimatorKind::Pcsa => None,
-            _ => hint.start_rank(self.config(), metrics),
-        };
-        if let Some(r) = transport.recorder() {
-            let key = if start.is_some() {
-                names::COUNT_HINT_WARM
-            } else {
-                names::COUNT_HINT_COLD
-            };
-            r.incr(key, 1);
-        }
-        let results = self.count_multi_inner(ring, transport, metrics, origin, rng, ledger, start);
-        for result in &results {
-            hint.record(result.metric, result.estimate);
-        }
-        results
+    ) -> CountResult {
+        self.scan(
+            ring,
+            &mut DirectTransport,
+            Some(hint),
+            &[metric],
+            origin,
+            rng,
+            ledger,
+        )
+        .pop()
+        // dhs-lint: allow(panic_hygiene) — invariant: the scan returns exactly one result per metric.
+        .expect("one metric in, one result out")
     }
 
-    /// Shared `count_multi` body; `hint` is the start rank of an adaptive
-    /// scan (`None` = full scan).
+    /// The one scan body behind every `count*` form: a [`ScanMachine`]
+    /// (descending for DHS-sLL / DHS-HLL, ascending for DHS-PCSA — the
+    /// machine picks from the configured estimator) driven in strict
+    /// submission order, the degenerate in-order case of the
+    /// completion-based protocol. `hint`, when given, supplies the start
+    /// rank and is updated with the fresh estimates.
     #[allow(clippy::too_many_arguments)]
-    fn count_multi_inner<O: Overlay, T: Transport>(
+    fn scan<O: Overlay, T: Transport>(
         &self,
         ring: &O,
         transport: &mut T,
+        hint: Option<&mut ScanHint>,
         metrics: &[MetricId],
         origin: u64,
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
-        hint: Option<u32>,
     ) -> Vec<CountResult> {
-        assert!(!metrics.is_empty(), "count_multi needs at least one metric");
-        let span = start_span(transport, names::SPAN_COUNT, metrics.len() as u64);
-        let results = match self.config().estimator {
-            // HyperLogLog shares super-LogLog's storage and top-down scan;
-            // only the register→estimate formula differs.
-            EstimatorKind::SuperLogLog | EstimatorKind::HyperLogLog => {
-                self.count_max_rank(ring, transport, metrics, origin, rng, ledger, hint)
+        let mut start_rank = None;
+        if let Some(hint) = hint.as_deref() {
+            if self.config().estimator != EstimatorKind::Pcsa {
+                start_rank = hint.start_rank(self.config(), metrics);
             }
-            EstimatorKind::Pcsa => self.count_pcsa(ring, transport, metrics, origin, rng, ledger),
-        };
-        if let Some(r) = transport.recorder() {
-            let stats = results[0].stats;
-            r.incr(names::OP_COUNT, 1);
-            r.observe(names::OP_COUNT_BYTES, stats.bytes);
-            r.observe(names::OP_COUNT_HOPS, stats.hops);
-            r.observe(names::OP_COUNT_PROBES, stats.probes);
-            if stats.intervals_skipped > 0 {
-                r.incr(
-                    names::COUNT_HINT_SKIPPED,
-                    u64::from(stats.intervals_skipped),
-                );
+            if let Some(r) = transport.recorder() {
+                let key = if start_rank.is_some() {
+                    names::COUNT_HINT_WARM
+                } else {
+                    names::COUNT_HINT_COLD
+                };
+                r.incr(key, 1);
             }
         }
-        end_span(transport, span);
+        let mut machine = ScanMachine::new(self, metrics, origin, start_rank, ledger);
+        drive_scan_in_order(&mut machine, ring, transport, rng, ledger);
+        let results = machine.finish(transport, ledger);
+        if let Some(hint) = hint {
+            for result in &results {
+                hint.record(result.metric, result.estimate);
+            }
+        }
         results
-    }
-
-    /// DHS-sLL / DHS-HLL: scan bit positions from most to least
-    /// significant; the first interval where a vector's bit is found is
-    /// its max rank. The scan itself is a [`ScanMachine`] driven in
-    /// strict submission order — the degenerate in-order case of the
-    /// completion-based protocol.
-    #[allow(clippy::too_many_arguments)]
-    fn count_max_rank<O: Overlay, T: Transport>(
-        &self,
-        ring: &O,
-        transport: &mut T,
-        metrics: &[MetricId],
-        origin: u64,
-        rng: &mut impl Rng,
-        ledger: &mut CostLedger,
-        hint: Option<u32>,
-    ) -> Vec<CountResult> {
-        let mut machine = ScanMachine::max_rank(self, metrics, origin, hint, ledger);
-        drive_scan_in_order(&mut machine, ring, transport, rng, ledger);
-        machine.finish(ledger)
-    }
-
-    /// DHS-PCSA: scan bit positions from least to most significant; the
-    /// first interval where a vector's bit cannot be found (after `lim`
-    /// probes) concludes its lowest-zero position. Also a [`ScanMachine`]
-    /// driven in order.
-    fn count_pcsa<O: Overlay, T: Transport>(
-        &self,
-        ring: &O,
-        transport: &mut T,
-        metrics: &[MetricId],
-        origin: u64,
-        rng: &mut impl Rng,
-        ledger: &mut CostLedger,
-    ) -> Vec<CountResult> {
-        let mut machine = ScanMachine::pcsa(self, metrics, origin, ledger);
-        drive_scan_in_order(&mut machine, ring, transport, rng, ledger);
-        machine.finish(ledger)
     }
 }
 
@@ -487,6 +386,42 @@ mod tests {
         let result = dhs.count(&ring, 99, origin, &mut rng, &mut ledger);
         assert!(result.registers.iter().all(|&r| r == 0));
         assert!(result.estimate < 32.0);
+    }
+
+    /// No metrics is an empty operation on every estimator, not a panic:
+    /// no results, no RNG draws, no charges, no recorder events.
+    #[test]
+    fn empty_metric_list_is_an_empty_operation() {
+        use crate::transport::Observed;
+        use rand::RngCore;
+        for estimator in [
+            EstimatorKind::SuperLogLog,
+            EstimatorKind::HyperLogLog,
+            EstimatorKind::Pcsa,
+        ] {
+            let (mut ring, mut rng) = setup(32, 5);
+            let dhs = Dhs::new(cfg(estimator, 16)).unwrap();
+            populate(&dhs, &mut ring, 1, 500, 3, &mut rng);
+            let origin = ring.alive_ids()[0];
+            let mut untouched = rng.clone();
+            let mut ledger = CostLedger::new();
+            assert!(dhs
+                .count_multi(&ring, &[], origin, &mut rng, &mut ledger)
+                .is_empty());
+            let mut transport = Observed::new(DirectTransport, dhs_obs::Observer::new(1));
+            assert!(dhs
+                .count_multi_via(&ring, &mut transport, &[], origin, &mut rng, &mut ledger)
+                .is_empty());
+            let fresh = dhs_obs::Observer::new(1);
+            let seen = transport.observer();
+            assert_eq!(seen.metrics.digest(), fresh.metrics.digest(), "no events");
+            assert_eq!(seen.spans.digest(), fresh.spans.digest(), "no span");
+            assert_eq!(
+                (ledger.messages(), ledger.hops(), ledger.bytes()),
+                (0, 0, 0)
+            );
+            assert_eq!(rng.next_u64(), untouched.next_u64(), "no draws");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   `n` distinct items the top set bit concentrates around
 //!   `log2(n/m)` per vector. A remembered prior estimate bounds where
 //!   the scan can start; [`crate::count`]'s hinted scan uses it while
-//!   provably returning byte-identical registers (see
-//!   `count_max_rank_via`'s skip rules).
+//!   provably returning byte-identical registers (see the skip rules on
+//!   [`crate::Dhs::count_hinted`]).
 //!
 //! Neither cache changes what is stored or what is counted — they only
 //! elide provably redundant messages — so estimates stay byte-identical
@@ -44,6 +44,7 @@ pub struct EpochCache {
     /// One bitset per metric; bit index = `vector · rank_bits + rank`.
     bits: BTreeMap<MetricId, Vec<u64>>,
     words: usize,
+    m: usize,
     rank_bits: u32,
     epoch: u64,
     hits: u64,
@@ -57,6 +58,7 @@ impl EpochCache {
         EpochCache {
             bits: BTreeMap::new(),
             words: cells.div_ceil(64),
+            m: cfg.m,
             rank_bits: cfg.rank_bits(),
             epoch: 0,
             hits: 0,
@@ -64,18 +66,27 @@ impl EpochCache {
         }
     }
 
-    fn cell(&self, vector: u16, rank: u32) -> (usize, u64) {
-        debug_assert!(rank < self.rank_bits);
+    /// Word index and bit mask of `(vector, rank)`, or `None` when the
+    /// cell lies outside the geometry this cache was sized for (it was
+    /// built from a `DhsConfig` with a smaller `m` or `rank_bits` than the
+    /// caller's). Such a tuple is simply never cached: `probe` misses and
+    /// `mark` does nothing, which degrades to the always-correct uncached
+    /// path instead of indexing out of bounds.
+    fn cell(&self, vector: u16, rank: u32) -> Option<(usize, u64)> {
+        if usize::from(vector) >= self.m || rank >= self.rank_bits {
+            return None;
+        }
         let idx = usize::from(vector) * checked_cast::<usize, _>(self.rank_bits)
             + checked_cast::<usize, _>(rank);
-        (idx / 64, 1u64 << (idx % 64))
+        Some((idx / 64, 1u64 << (idx % 64)))
     }
 
     /// Whether this origin already stored `(metric, vector, rank)` in the
     /// current epoch. Updates the hit/miss counters.
     pub fn probe(&mut self, metric: MetricId, vector: u16, rank: u32) -> bool {
-        let (word, mask) = self.cell(vector, rank);
-        let hit = self.bits.get(&metric).is_some_and(|b| b[word] & mask != 0);
+        let hit = self.cell(vector, rank).is_some_and(|(word, mask)| {
+            self.bits.get(&metric).is_some_and(|b| b[word] & mask != 0)
+        });
         if hit {
             self.hits += 1;
         } else {
@@ -88,9 +99,10 @@ impl EpochCache {
     /// after the store went through — marking a lost store would elide
     /// future retries of a bit that never made it to the DHT.
     pub fn mark(&mut self, metric: MetricId, vector: u16, rank: u32) {
-        let (word, mask) = self.cell(vector, rank);
-        let words = self.words;
-        self.bits.entry(metric).or_insert_with(|| vec![0u64; words])[word] |= mask;
+        if let Some((word, mask)) = self.cell(vector, rank) {
+            let words = self.words;
+            self.bits.entry(metric).or_insert_with(|| vec![0u64; words])[word] |= mask;
+        }
     }
 
     /// Start a new TTL epoch: forget everything so the next refresh
@@ -180,7 +192,7 @@ impl ScanHint {
             let per_vector = (prior / cfg.m as f64).max(1.0);
             // dhs-lint: allow(lossy_cast) — float→int: ceil(log2) of a finite
             // positive f64 is ≤ 1024, comfortably inside u32.
-            let top = per_vector.log2().ceil() as u32 + self.slack;
+            let top = (per_vector.log2().ceil() as u32).saturating_add(self.slack);
             start = start.max(top.min(cfg.scan_bits().saturating_sub(1)));
         }
         Some(start)
@@ -252,6 +264,23 @@ mod tests {
         }
     }
 
+    /// Cells outside the geometry the cache was sized for are never
+    /// cached — a miss and a no-op, not an out-of-bounds index.
+    #[test]
+    fn out_of_geometry_cells_are_never_cached() {
+        let c = cfg(); // m = 16, rank_bits = 16
+        let mut cache = EpochCache::new(&c);
+        for (vector, rank) in [(63, 3), (16, 0), (0, c.rank_bits()), (u16::MAX, u32::MAX)] {
+            assert!(!cache.probe(1, vector, rank));
+            cache.mark(1, vector, rank);
+            assert!(!cache.probe(1, vector, rank));
+        }
+        // In-range cells next to them are unaffected.
+        assert!(!cache.probe(1, 15, c.rank_bits() - 1));
+        cache.mark(1, 15, c.rank_bits() - 1);
+        assert!(cache.probe(1, 15, c.rank_bits() - 1));
+    }
+
     #[test]
     fn start_rank_tracks_prior_magnitude() {
         let c = cfg();
@@ -280,5 +309,10 @@ mod tests {
         // Garbage priors are ignored.
         hint.record(2, f64::NAN);
         assert_eq!(hint.prior(2), None);
+        // An absurd slack saturates instead of overflowing; the clamp
+        // then bounds it like any other start.
+        let mut hint = ScanHint::with_slack(u32::MAX);
+        hint.record(1, 10_000.0);
+        assert_eq!(hint.start_rank(&c, &[1]), Some(c.scan_bits() - 1));
     }
 }

@@ -106,29 +106,37 @@ impl Dhs {
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
     ) -> bool {
-        let (vector, rank) = self.classify(item_key);
-        if rank < self.cfg.bit_shift {
-            if let Some(r) = transport.recorder() {
-                r.incr(names::OP_INSERT_ELIDED, 1);
-            }
-            return false;
-        }
-        let tuple = DhsTuple {
+        self.store_one(ring, transport, None, metric, item_key, origin, rng, ledger)
+    }
+
+    /// [`Self::insert`] with an origin-side [`EpochCache`]: a tuple this
+    /// origin already stored in the current TTL epoch is elided outright —
+    /// no routing key is drawn, no message is sent — because re-storing it
+    /// could only refresh a timestamp that already outlives the epoch.
+    ///
+    /// Return value matches [`Self::insert`]: `false` only for bit-shift
+    /// elision, `true` whenever the bit is (already) recorded.
+    #[allow(clippy::too_many_arguments)]
+    pub fn insert_cached<O: Overlay>(
+        &self,
+        ring: &mut O,
+        cache: &mut EpochCache,
+        metric: MetricId,
+        item_key: u64,
+        origin: u64,
+        rng: &mut impl Rng,
+        ledger: &mut CostLedger,
+    ) -> bool {
+        self.store_one(
+            ring,
+            &mut DirectTransport,
+            Some(cache),
             metric,
-            vector,
-            bit: checked_cast(rank),
-        };
-        let span = start_span(transport, names::SPAN_INSERT, u64::from(rank));
-        let bytes_before = ledger.bytes();
-        let groups = [(rank, vec![tuple])];
-        self.store_grouped(ring, transport, &groups, origin, rng, ledger);
-        let bytes = ledger.bytes() - bytes_before;
-        if let Some(r) = transport.recorder() {
-            r.incr(names::OP_INSERT, 1);
-            r.observe(names::OP_INSERT_BYTES, bytes);
-        }
-        end_span(transport, span);
-        true
+            item_key,
+            origin,
+            rng,
+            ledger,
+        )
     }
 
     /// Record a batch of items for `metric`, grouping them by bit
@@ -169,107 +177,9 @@ impl Dhs {
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
     ) -> usize {
-        let span = start_span(transport, names::SPAN_BULK_INSERT, item_keys.len() as u64);
-        // Group by rank; dedup vectors inside each group.
-        let rank_count: usize = checked_cast(self.cfg.rank_bits());
-        let mut groups: Vec<Vec<u16>> = vec![Vec::new(); rank_count];
-        for &key in item_keys {
-            let (vector, rank) = self.classify(key);
-            if rank >= self.cfg.bit_shift {
-                groups[checked_cast::<usize, _>(rank)].push(vector);
-            }
-        }
-        let grouped = Self::rank_groups(metric, groups);
-        let shipped = grouped.iter().map(|(_, t)| t.len()).sum::<usize>();
-        self.store_grouped(ring, transport, &grouped, origin, rng, ledger);
-        if let Some(r) = transport.recorder() {
-            r.incr(names::OP_BULK_INSERT, 1);
-            r.incr(names::OP_BULK_INSERT_TUPLES, shipped as u64);
-        }
-        end_span(transport, span);
-        shipped
-    }
-
-    /// [`Self::insert`] with an origin-side [`EpochCache`]: a tuple this
-    /// origin already stored in the current TTL epoch is elided outright —
-    /// no routing key is drawn, no message is sent — because re-storing it
-    /// could only refresh a timestamp that already outlives the epoch.
-    ///
-    /// Return value matches [`Self::insert`]: `false` only for bit-shift
-    /// elision, `true` whenever the bit is (already) recorded.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert_cached<O: Overlay>(
-        &self,
-        ring: &mut O,
-        cache: &mut EpochCache,
-        metric: MetricId,
-        item_key: u64,
-        origin: u64,
-        rng: &mut impl Rng,
-        ledger: &mut CostLedger,
-    ) -> bool {
-        self.insert_cached_via(
-            ring,
-            &mut DirectTransport,
-            cache,
-            metric,
-            item_key,
-            origin,
-            rng,
-            ledger,
+        self.store_many(
+            ring, transport, None, metric, item_keys, origin, rng, ledger,
         )
-    }
-
-    /// [`Self::insert_cached`] over an explicit [`Transport`]. The cache
-    /// is only marked when the store actually went through, so a lost
-    /// store stays retryable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert_cached_via<O: Overlay, T: Transport>(
-        &self,
-        ring: &mut O,
-        transport: &mut T,
-        cache: &mut EpochCache,
-        metric: MetricId,
-        item_key: u64,
-        origin: u64,
-        rng: &mut impl Rng,
-        ledger: &mut CostLedger,
-    ) -> bool {
-        let (vector, rank) = self.classify(item_key);
-        if rank < self.cfg.bit_shift {
-            if let Some(r) = transport.recorder() {
-                r.incr(names::OP_INSERT_ELIDED, 1);
-            }
-            return false;
-        }
-        if cache.probe(metric, vector, rank) {
-            if let Some(r) = transport.recorder() {
-                r.incr(names::CACHE_HIT, 1);
-            }
-            return true;
-        }
-        if let Some(r) = transport.recorder() {
-            r.incr(names::CACHE_MISS, 1);
-        }
-        let tuple = DhsTuple {
-            metric,
-            vector,
-            bit: checked_cast(rank),
-        };
-        let span = start_span(transport, names::SPAN_INSERT, u64::from(rank));
-        let bytes_before = ledger.bytes();
-        let groups = [(rank, vec![tuple])];
-        let ok = self.store_grouped(ring, transport, &groups, origin, rng, ledger);
-        let bytes = ledger.bytes() - bytes_before;
-        if let Some(r) = transport.recorder() {
-            r.incr(names::OP_INSERT, 1);
-            r.observe(names::OP_INSERT_BYTES, bytes);
-        }
-        end_span(transport, span);
-        if ok[0] {
-            cache.mark(metric, vector, rank);
-        }
-        true
     }
 
     /// [`Self::bulk_insert`] with an origin-side [`EpochCache`]: tuples
@@ -287,10 +197,10 @@ impl Dhs {
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
     ) -> usize {
-        self.bulk_insert_cached_via(
+        self.store_many(
             ring,
             &mut DirectTransport,
-            cache,
+            Some(cache),
             metric,
             item_keys,
             origin,
@@ -299,13 +209,77 @@ impl Dhs {
         )
     }
 
-    /// [`Self::bulk_insert_cached`] over an explicit [`Transport`].
+    /// The one-item store body behind every `insert*` form. With a
+    /// `cache`, a tuple it already holds is elided before any routing key
+    /// is drawn; the cache is only marked when the store actually went
+    /// through, so a lost store stays retryable.
     #[allow(clippy::too_many_arguments)]
-    pub fn bulk_insert_cached_via<O: Overlay, T: Transport>(
+    fn store_one<O: Overlay, T: Transport>(
         &self,
         ring: &mut O,
         transport: &mut T,
-        cache: &mut EpochCache,
+        mut cache: Option<&mut EpochCache>,
+        metric: MetricId,
+        item_key: u64,
+        origin: u64,
+        rng: &mut impl Rng,
+        ledger: &mut CostLedger,
+    ) -> bool {
+        let (vector, rank) = self.classify(item_key);
+        if rank < self.cfg.bit_shift {
+            if let Some(r) = transport.recorder() {
+                r.incr(names::OP_INSERT_ELIDED, 1);
+            }
+            return false;
+        }
+        if let Some(cache) = cache.as_deref_mut() {
+            let hit = cache.probe(metric, vector, rank);
+            if let Some(r) = transport.recorder() {
+                let key = if hit {
+                    names::CACHE_HIT
+                } else {
+                    names::CACHE_MISS
+                };
+                r.incr(key, 1);
+            }
+            if hit {
+                return true;
+            }
+        }
+        let tuple = DhsTuple {
+            metric,
+            vector,
+            bit: checked_cast(rank),
+        };
+        let span = start_span(transport, names::SPAN_INSERT, u64::from(rank));
+        let bytes_before = ledger.bytes();
+        let groups = [(rank, vec![tuple])];
+        let ok = self.store_groups_via(ring, transport, &groups, origin, rng, ledger);
+        let bytes = ledger.bytes() - bytes_before;
+        if let Some(r) = transport.recorder() {
+            r.incr(names::OP_INSERT, 1);
+            r.observe(names::OP_INSERT_BYTES, bytes);
+        }
+        end_span(transport, span);
+        if let Some(cache) = cache {
+            if ok[0] {
+                cache.mark(metric, vector, rank);
+            }
+        }
+        true
+    }
+
+    /// The many-items store body behind every `bulk_insert*` form and
+    /// [`crate::maintenance`]'s refresh rounds: group by rank, dedup
+    /// vectors inside each group, ship one routed store per group. With a
+    /// `cache`, tuples it already holds are dropped before shipping and
+    /// the stored ones are marked afterwards.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn store_many<O: Overlay, T: Transport>(
+        &self,
+        ring: &mut O,
+        transport: &mut T,
+        mut cache: Option<&mut EpochCache>,
         metric: MetricId,
         item_keys: &[u64],
         origin: u64,
@@ -321,28 +295,32 @@ impl Dhs {
                 groups[checked_cast::<usize, _>(rank)].push(vector);
             }
         }
-        let mut hits = 0u64;
         let mut grouped = Self::rank_groups(metric, groups);
-        for (rank, tuples) in &mut grouped {
-            tuples.retain(|t| {
-                let fresh = !cache.probe(metric, t.vector, *rank);
-                if !fresh {
-                    hits += 1;
-                }
-                fresh
-            });
+        let mut hits = 0u64;
+        if let Some(cache) = cache.as_deref_mut() {
+            for (rank, tuples) in &mut grouped {
+                tuples.retain(|t| {
+                    let hit = cache.probe(metric, t.vector, *rank);
+                    hits += u64::from(hit);
+                    !hit
+                });
+            }
+            grouped.retain(|(_, tuples)| !tuples.is_empty());
         }
-        grouped.retain(|(_, tuples)| !tuples.is_empty());
         let shipped = grouped.iter().map(|(_, t)| t.len()).sum::<usize>();
-        if let Some(r) = transport.recorder() {
-            r.incr(names::CACHE_HIT, hits);
-            r.incr(names::CACHE_MISS, shipped as u64);
+        if cache.is_some() {
+            if let Some(r) = transport.recorder() {
+                r.incr(names::CACHE_HIT, hits);
+                r.incr(names::CACHE_MISS, shipped as u64);
+            }
         }
-        let ok = self.store_grouped(ring, transport, &grouped, origin, rng, ledger);
-        for (stored, (rank, tuples)) in ok.iter().zip(&grouped) {
-            if *stored {
-                for t in tuples {
-                    cache.mark(metric, t.vector, *rank);
+        let ok = self.store_groups_via(ring, transport, &grouped, origin, rng, ledger);
+        if let Some(cache) = cache {
+            for (stored, (rank, tuples)) in ok.iter().zip(&grouped) {
+                if *stored {
+                    for t in tuples {
+                        cache.mark(metric, t.vector, *rank);
+                    }
                 }
             }
         }
@@ -381,48 +359,28 @@ impl Dhs {
     /// Store each `(rank, tuples)` group at a random key in the rank's
     /// interval, batching groups that resolve to the *same owner* into a
     /// single `MessageKind::Store` (per-message overhead is charged once
-    /// per owner, not once per rank). Returns per-group success.
+    /// per owner, not once per rank). Returns one success flag per group.
     ///
-    /// Pass 1 draws every group's routing key in caller order — the exact
-    /// RNG stream of per-group stores — so batching changes message
-    /// counts but never placement: each tuple lands on precisely the node
-    /// (and replicas) it would have reached unbatched.
+    /// This is both the body under every `insert*` / `bulk_insert*` form
+    /// and the public seam external aggregation layers drive —
+    /// `dhs-shard`'s cross-shard flush builds its per-rank groups and
+    /// hands them here, inheriting routing, retry, batching, and cost
+    /// accounting unchanged. Groups must be in the caller's canonical
+    /// order (ascending rank, deduplicated tuples).
     ///
-    /// Each send goes through `transport` under its retry policy; every
-    /// attempt re-routes and re-charges (the resent message crosses the
-    /// wire again). A primary store that never gets through stores
-    /// nothing; a lost replica leg breaks the successor forwarding chain
-    /// at that point.
-    #[allow(clippy::too_many_arguments)]
-    /// Ship pre-grouped `(rank, tuples)` batches through the owner-batched
-    /// store path. This is the public seam external aggregation layers
-    /// drive — `dhs-shard`'s cross-shard flush builds its per-rank groups
-    /// and hands them here, inheriting routing, retry, batching, and cost
-    /// accounting unchanged.
-    ///
-    /// Groups must be in the caller's canonical order (ascending rank,
-    /// deduplicated tuples). Each group draws exactly one routing key from
-    /// `rng`, in group order, so the RNG stream stays byte-identical to an
-    /// equivalent sequence of unbatched stores. Returns one success flag
-    /// per group.
+    /// The store is a [`StoreMachine`] driven in strict submission order
+    /// with a window of 1. Its first pass draws every group's routing key
+    /// in group order — the exact RNG stream of per-group stores — so
+    /// batching changes message counts but never placement: each tuple
+    /// lands on precisely the node (and replicas) it would have reached
+    /// unbatched. Each send goes through `transport` under its retry
+    /// policy; every attempt re-routes and re-charges (the resent message
+    /// crosses the wire again). A primary store that never gets through
+    /// stores nothing; a lost replica leg breaks the successor forwarding
+    /// chain at that point. Out-of-order engines construct the machine
+    /// themselves, with a wider window, to keep several owner chains in
+    /// flight.
     pub fn store_groups_via<O: Overlay, T: Transport>(
-        &self,
-        ring: &mut O,
-        transport: &mut T,
-        groups: &[(u32, Vec<DhsTuple>)],
-        origin: u64,
-        rng: &mut impl Rng,
-        ledger: &mut CostLedger,
-    ) -> Vec<bool> {
-        self.store_grouped(ring, transport, groups, origin, rng, ledger)
-    }
-
-    /// The store path is a [`StoreMachine`] (routing-key pass, per-owner
-    /// batching, replica forwarding) driven in strict submission order
-    /// with a window of 1 — byte-identical to the old sequential
-    /// per-owner loop. Out-of-order engines construct the machine with a
-    /// wider window to keep several owner chains in flight.
-    fn store_grouped<O: Overlay, T: Transport>(
         &self,
         ring: &mut O,
         transport: &mut T,

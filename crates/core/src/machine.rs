@@ -150,6 +150,23 @@ impl RetryState {
     }
 }
 
+/// Route `key` from `origin` for one attempt of a routed send (`Lookup`
+/// or `Store`), charging `ledger`, and return the hops this attempt took.
+fn route_attempt<O: Overlay, T: Transport>(
+    ring: &O,
+    t: &mut T,
+    ledger: &mut CostLedger,
+    origin: u64,
+    key: u64,
+) -> u64 {
+    let hops_before = ledger.hops();
+    match t.recorder() {
+        Some(obs) => ring.route_observed(origin, key, ledger, obs),
+        None => ring.route(origin, key, ledger),
+    };
+    ledger.hops() - hops_before
+}
+
 /// One attempt of `op`, charging exactly what the old inline closure
 /// charged (routed sends re-route and re-charge hops per attempt).
 fn attempt_once<O: Overlay, T: Transport>(
@@ -165,12 +182,7 @@ fn attempt_once<O: Overlay, T: Transport>(
             dst,
             request,
         } => {
-            let hops_before = ledger.hops();
-            match t.recorder() {
-                Some(obs) => ring.route_observed(origin, key, ledger, obs),
-                None => ring.route(origin, key, ledger),
-            };
-            let hops = ledger.hops() - hops_before;
+            let hops = route_attempt(ring, t, ledger, origin, key);
             t.routed_exchange(origin, dst, hops, MessageKind::Lookup, request, 0, ledger)
         }
         SendOp::Probe {
@@ -186,12 +198,7 @@ fn attempt_once<O: Overlay, T: Transport>(
             dst,
             payload,
         } => {
-            let hops_before = ledger.hops();
-            match t.recorder() {
-                Some(obs) => ring.route_observed(origin, key, ledger, obs),
-                None => ring.route(origin, key, ledger),
-            };
-            let hops = ledger.hops() - hops_before;
+            let hops = route_attempt(ring, t, ledger, origin, key);
             t.routed_exchange(origin, dst, hops, MessageKind::Store, payload, 0, ledger)
         }
         SendOp::Replica { from, dst, payload } => {
@@ -293,54 +300,56 @@ impl WalkState {
     }
 }
 
-/// Estimator-specific resolution state of a scan.
+/// Estimator-specific state of a scan, beside the shared `resolved`
+/// registers.
 enum ScanMode {
-    /// DHS-sLL / DHS-HLL: descending ranks, first hit is the max.
-    MaxRank {
-        regs: Vec<Vec<Option<u8>>>,
-        unresolved: usize,
-        hint: Option<u32>,
-    },
-    /// DHS-PCSA: ascending ranks, first miss is the lowest zero.
+    /// DHS-sLL / DHS-HLL: descending ranks, the first hit is the max
+    /// (register = rank + 1). `hint` is the adaptive-scan start rank.
+    MaxRank { hint: Option<u32> },
+    /// DHS-PCSA: ascending ranks, the first miss is the lowest zero.
+    /// `confirmed` marks vectors seen set at the current rank;
+    /// `in_question` counts unresolved vectors not yet confirmed.
     Pcsa {
-        first_zero: Vec<Vec<Option<u32>>>,
         confirmed: Vec<Vec<bool>>,
-        unresolved: usize,
         in_question: usize,
     },
 }
 
+/// The cursor inside one rank's interval, carried between sends.
+struct IntervalCursor {
+    rank: u32,
+    /// Probe budget for this interval.
+    attempts: u32,
+    /// Probes completed so far.
+    attempt: u32,
+    walk: WalkState,
+    /// The node the outstanding send addresses.
+    target: u64,
+    interval_span: Option<u64>,
+    scan_span: Option<u64>,
+}
+
 /// Where the scan is between sends.
 enum ScanPhase {
+    /// Not started: the first `step` opens the operation's span.
+    Start,
     /// Advance to the next rank (or finish).
     NextRank,
-    /// A `Lookup` send is outstanding for this rank's interval.
-    AwaitLookup {
-        rank: u32,
-        attempts: u32,
-        interval: IdInterval,
-        target: u64,
-        interval_span: Option<u64>,
-    },
+    /// A `Lookup` send is outstanding for the cursor's interval.
+    AwaitLookup(IntervalCursor),
     /// A `Probe`/`SuccessorScan` send is outstanding.
-    AwaitProbe {
-        rank: u32,
-        attempts: u32,
-        attempt: u32,
-        walk: WalkState,
-        target: u64,
-        interval_span: Option<u64>,
-        scan_span: Option<u64>,
-    },
+    AwaitProbe(IntervalCursor),
     /// Terminal.
     Finished,
 }
 
 /// The counting scan (paper Algorithm 1) as an explicit state machine:
 /// one outstanding exchange at a time, every conclusion applied at
-/// completion delivery. Construct with [`ScanMachine::max_rank`] or
-/// [`ScanMachine::pcsa`], drive with [`ScanMachine::step`], collect
-/// with [`ScanMachine::finish`].
+/// completion delivery. Construct with [`ScanMachine::new`], drive with
+/// [`ScanMachine::step`], collect with [`ScanMachine::finish`]. The
+/// machine is the one emitter of the operation's own observability: the
+/// first `step` opens the `count` span, `finish` records the `op.count*`
+/// metrics and closes it — whichever driver runs it.
 ///
 /// The scan is *strictly sequential by design*: which node the next
 /// probe targets depends on the previous probe's conclusions (the walk
@@ -357,23 +366,48 @@ pub struct ScanMachine {
     ranks: Vec<u32>,
     rank_idx: usize,
     mode: ScanMode,
+    /// Per `(metric, vector)`: the concluded register — max rank + 1, or
+    /// lowest zero — once known.
+    resolved: Vec<Vec<Option<u32>>>,
+    unresolved: usize,
     phase: ScanPhase,
     stats: CountStats,
     bytes_before: u64,
     hops_before: u64,
+    span: Option<u64>,
     next_tag: u32,
 }
 
 impl ScanMachine {
-    fn new_inner(
+    /// A scan of `metrics` from `origin` under `dhs`'s estimator:
+    /// descending max-rank for super-LogLog / HyperLogLog (they share
+    /// storage; only the register→estimate formula differs), ascending
+    /// lowest-zero for PCSA. `start_rank` is an adaptive-scan hint (see
+    /// [`crate::fast::ScanHint`]); PCSA scans upward and ignores it.
+    /// `ledger` is snapshotted so [`Self::finish`] can report the
+    /// operation's own byte/hop deltas.
+    pub fn new(
         dhs: &Dhs,
         metrics: &[MetricId],
         origin: u64,
+        start_rank: Option<u32>,
         ledger: &CostLedger,
-        mode: ScanMode,
-        ranks: Vec<u32>,
     ) -> Self {
         let cfg = *dhs.config();
+        let scan_ranks = cfg.bit_shift..cfg.scan_bits();
+        let (mode, ranks) = match cfg.estimator {
+            EstimatorKind::SuperLogLog | EstimatorKind::HyperLogLog => (
+                ScanMode::MaxRank { hint: start_rank },
+                scan_ranks.rev().collect(),
+            ),
+            EstimatorKind::Pcsa => (
+                ScanMode::Pcsa {
+                    confirmed: vec![vec![false; cfg.m]; metrics.len()],
+                    in_question: 0,
+                },
+                scan_ranks.collect(),
+            ),
+        };
         ScanMachine {
             cfg,
             metrics: metrics.to_vec(),
@@ -383,53 +417,14 @@ impl ScanMachine {
             ranks,
             rank_idx: 0,
             mode,
-            phase: ScanPhase::NextRank,
+            resolved: vec![vec![None; cfg.m]; metrics.len()],
+            unresolved: metrics.len() * cfg.m,
+            phase: ScanPhase::Start,
             stats: CountStats::default(),
             bytes_before: ledger.bytes(),
             hops_before: ledger.hops(),
+            span: None,
             next_tag: 0,
-        }
-    }
-
-    /// A descending max-rank scan (super-LogLog / HyperLogLog storage),
-    /// optionally bounded by an adaptive-scan `hint` start rank.
-    /// `ledger` is snapshotted so [`Self::finish`] can report the
-    /// operation's own byte/hop deltas.
-    pub fn max_rank(
-        dhs: &Dhs,
-        metrics: &[MetricId],
-        origin: u64,
-        hint: Option<u32>,
-        ledger: &CostLedger,
-    ) -> Self {
-        let cfg = dhs.config();
-        let m = cfg.m;
-        let mode = ScanMode::MaxRank {
-            regs: vec![vec![None; m]; metrics.len()],
-            unresolved: metrics.len() * m,
-            hint,
-        };
-        let ranks = (cfg.bit_shift..cfg.scan_bits()).rev().collect();
-        Self::new_inner(dhs, metrics, origin, ledger, mode, ranks)
-    }
-
-    /// An ascending lowest-zero scan (PCSA storage).
-    pub fn pcsa(dhs: &Dhs, metrics: &[MetricId], origin: u64, ledger: &CostLedger) -> Self {
-        let cfg = dhs.config();
-        let m = cfg.m;
-        let mode = ScanMode::Pcsa {
-            first_zero: vec![vec![None; m]; metrics.len()],
-            confirmed: vec![vec![false; m]; metrics.len()],
-            unresolved: metrics.len() * m,
-            in_question: 0,
-        };
-        let ranks = (cfg.bit_shift..cfg.scan_bits()).collect();
-        Self::new_inner(dhs, metrics, origin, ledger, mode, ranks)
-    }
-
-    fn unresolved(&self) -> usize {
-        match &self.mode {
-            ScanMode::MaxRank { unresolved, .. } | ScanMode::Pcsa { unresolved, .. } => *unresolved,
         }
     }
 
@@ -450,25 +445,21 @@ impl ScanMachine {
                     vector: checked_cast(vector),
                     bit: checked_cast(rank),
                 };
-                if ring.fetch_at(target, tuple.app_key()).is_none() {
+                if ring.fetch_at(target, tuple.app_key()).is_none()
+                    || self.resolved[mi][vector].is_some()
+                {
                     continue;
                 }
                 match &mut self.mode {
-                    ScanMode::MaxRank {
-                        regs, unresolved, ..
-                    } => {
-                        if regs[mi][vector].is_none() {
-                            regs[mi][vector] = Some(checked_cast::<u8, _>(rank) + 1);
-                            *unresolved -= 1;
-                        }
+                    ScanMode::MaxRank { .. } => {
+                        self.resolved[mi][vector] = Some(rank + 1);
+                        self.unresolved -= 1;
                     }
                     ScanMode::Pcsa {
-                        first_zero,
                         confirmed,
                         in_question,
-                        ..
                     } => {
-                        if first_zero[mi][vector].is_none() && !confirmed[mi][vector] {
+                        if !confirmed[mi][vector] {
                             confirmed[mi][vector] = true;
                             *in_question -= 1;
                         }
@@ -481,25 +472,33 @@ impl ScanMachine {
     /// Close out a fully probed rank (PCSA concludes lowest zeros for
     /// candidates never seen set; max-rank has nothing to conclude).
     fn conclude_rank(&mut self, rank: u32) {
-        if let ScanMode::Pcsa {
-            first_zero,
-            confirmed,
-            unresolved,
-            ..
-        } = &mut self.mode
-        {
+        if let ScanMode::Pcsa { confirmed, .. } = &self.mode {
             // Candidates never seen set at this rank: their lowest zero
             // is here (possibly wrongly, if all `lim` probes missed —
             // §4.1).
             for (mi, row) in confirmed.iter().enumerate() {
                 for (vector, &is_set) in row.iter().enumerate() {
-                    if first_zero[mi][vector].is_none() && !is_set {
-                        first_zero[mi][vector] = Some(rank);
-                        *unresolved -= 1;
+                    if self.resolved[mi][vector].is_none() && !is_set {
+                        self.resolved[mi][vector] = Some(rank);
+                        self.unresolved -= 1;
                     }
                 }
             }
         }
+    }
+
+    /// Issue the cursor's next probe and park on its completion.
+    fn send_probe(&mut self, cursor: IntervalCursor, kind: MessageKind) -> Step {
+        self.stats.probes += 1;
+        let op = SendOp::Probe {
+            origin: self.origin,
+            dst: cursor.target,
+            kind,
+            request: self.request,
+            response: self.response,
+        };
+        self.phase = ScanPhase::AwaitProbe(cursor);
+        Step::Sends(vec![(self.fresh_tag(), op)])
     }
 
     /// Advance the machine. Pass `None` to start it, or the completion
@@ -516,14 +515,24 @@ impl ScanMachine {
     ) -> Step {
         loop {
             match std::mem::replace(&mut self.phase, ScanPhase::Finished) {
+                ScanPhase::Start => {
+                    // An empty metric list is an empty operation: no
+                    // span, no draws, no events.
+                    if self.metrics.is_empty() {
+                        return Step::Done;
+                    }
+                    self.span = start_span(transport, names::SPAN_COUNT, self.metrics.len() as u64);
+                    self.phase = ScanPhase::NextRank;
+                }
                 ScanPhase::NextRank => {
-                    if self.unresolved() == 0 || self.rank_idx == self.ranks.len() {
+                    if self.unresolved == 0 || self.rank_idx == self.ranks.len() {
                         return Step::Done;
                     }
                     let rank = self.ranks[self.rank_idx];
                     self.rank_idx += 1;
+                    let interval = interval_for_rank(&self.cfg, rank);
                     let attempts = match &mut self.mode {
-                        ScanMode::MaxRank { hint, .. } => {
+                        ScanMode::MaxRank { hint } => {
                             let above_hint = hint.is_some_and(|h| rank > h);
                             if above_hint && rank >= self.cfg.rank_bits() {
                                 // Structurally empty: `classify` saturates
@@ -533,7 +542,6 @@ impl ScanMachine {
                                 // would have drawn, keeping the RNG stream —
                                 // and therefore every later probe —
                                 // byte-identical.
-                                let interval = interval_for_rank(&self.cfg, rank);
                                 let _ = rng.gen_range(interval.lo..=interval.hi);
                                 self.stats.intervals_skipped += 1;
                                 self.phase = ScanPhase::NextRank;
@@ -543,13 +551,10 @@ impl ScanMachine {
                             // concluded by its one owner: every tuple of the
                             // interval lives there, so walk retries cannot
                             // change the outcome.
-                            if above_hint {
-                                let interval = interval_for_rank(&self.cfg, rank);
-                                if ring.owner_of(interval.lo) == ring.owner_of(interval.hi) {
-                                    1
-                                } else {
-                                    self.cfg.lim
-                                }
+                            if above_hint
+                                && ring.owner_of(interval.lo) == ring.owner_of(interval.hi)
+                            {
+                                1
                             } else {
                                 self.cfg.lim
                             }
@@ -557,48 +562,40 @@ impl ScanMachine {
                         ScanMode::Pcsa {
                             confirmed,
                             in_question,
-                            unresolved,
-                            ..
                         } => {
                             for row in confirmed.iter_mut() {
                                 row.iter_mut().for_each(|c| *c = false);
                             }
                             // Unresolved vectors not yet confirmed set at
                             // this rank.
-                            *in_question = *unresolved;
+                            *in_question = self.unresolved;
                             self.cfg.lim
                         }
                     };
                     let interval_span =
                         start_span(transport, names::SPAN_INTERVAL, u64::from(rank));
-                    let interval = interval_for_rank(&self.cfg, rank);
                     let key = rng.gen_range(interval.lo..=interval.hi);
                     let target = ring.owner_of(key);
                     self.stats.lookups += 1;
                     self.stats.intervals_scanned += 1;
-                    let tag = self.fresh_tag();
                     let op = SendOp::Lookup {
                         origin: self.origin,
                         key,
                         dst: target,
                         request: self.request,
                     };
-                    self.phase = ScanPhase::AwaitLookup {
+                    self.phase = ScanPhase::AwaitLookup(IntervalCursor {
                         rank,
                         attempts,
-                        interval,
+                        attempt: 0,
+                        walk: WalkState::new(interval, target),
                         target,
                         interval_span,
-                    };
-                    return Step::Sends(vec![(tag, op)]);
+                        scan_span: None,
+                    });
+                    return Step::Sends(vec![(self.fresh_tag(), op)]);
                 }
-                ScanPhase::AwaitLookup {
-                    rank,
-                    attempts,
-                    interval,
-                    target,
-                    interval_span,
-                } => {
+                ScanPhase::AwaitLookup(cursor) => {
                     let (_tag, result) = completion
                         .take()
                         // dhs-lint: allow(panic_hygiene) — invariant: the driver feeds exactly one completion per outstanding send.
@@ -606,152 +603,103 @@ impl ScanMachine {
                     if result.is_err() {
                         // Lookup unreachable: skip this interval (PCSA draws
                         // no first-zero conclusions without probe evidence).
-                        end_span(transport, interval_span);
+                        end_span(transport, cursor.interval_span);
                         self.phase = ScanPhase::NextRank;
                         continue;
                     }
-                    let walk = WalkState::new(interval, target);
-                    self.stats.probes += 1;
-                    let tag = self.fresh_tag();
-                    let op = SendOp::Probe {
-                        origin: self.origin,
-                        dst: target,
-                        kind: MessageKind::Probe,
-                        request: self.request,
-                        response: self.response,
-                    };
-                    self.phase = ScanPhase::AwaitProbe {
-                        rank,
-                        attempts,
-                        attempt: 0,
-                        walk,
-                        target,
-                        interval_span,
-                        scan_span: None,
-                    };
-                    return Step::Sends(vec![(tag, op)]);
+                    return self.send_probe(cursor, MessageKind::Probe);
                 }
-                ScanPhase::AwaitProbe {
-                    rank,
-                    attempts,
-                    attempt,
-                    mut walk,
-                    target,
-                    interval_span,
-                    scan_span,
-                } => {
+                ScanPhase::AwaitProbe(mut cursor) => {
                     let (_tag, result) = completion
                         .take()
                         // dhs-lint: allow(panic_hygiene) — invariant: the driver feeds exactly one completion per outstanding send.
                         .expect("a probe completion must be delivered");
                     if result.is_ok() {
-                        ledger.record_visit(target);
-                        self.apply_hits(ring, target, rank);
+                        ledger.record_visit(cursor.target);
+                        self.apply_hits(ring, cursor.target, cursor.rank);
                     }
-                    end_span(transport, scan_span);
+                    end_span(transport, cursor.scan_span);
                     let concluded = match &self.mode {
-                        ScanMode::MaxRank { unresolved, .. } => *unresolved == 0,
+                        ScanMode::MaxRank { .. } => self.unresolved == 0,
                         ScanMode::Pcsa { in_question, .. } => *in_question == 0,
                     };
-                    let next_attempt = attempt + 1;
-                    if concluded || next_attempt >= attempts {
-                        end_span(transport, interval_span);
-                        self.conclude_rank(rank);
+                    cursor.attempt += 1;
+                    if concluded || cursor.attempt >= cursor.attempts {
+                        end_span(transport, cursor.interval_span);
+                        self.conclude_rank(cursor.rank);
                         self.phase = ScanPhase::NextRank;
                         continue;
                     }
-                    let target = walk.next_target(ring);
+                    cursor.target = cursor.walk.next_target(ring);
                     ledger.charge_hops(1);
-                    let scan_span =
-                        start_span(transport, names::SPAN_SUCC_SCAN, u64::from(next_attempt));
-                    self.stats.probes += 1;
-                    let tag = self.fresh_tag();
-                    let op = SendOp::Probe {
-                        origin: self.origin,
-                        dst: target,
-                        kind: MessageKind::SuccessorScan,
-                        request: self.request,
-                        response: self.response,
-                    };
-                    self.phase = ScanPhase::AwaitProbe {
-                        rank,
-                        attempts,
-                        attempt: next_attempt,
-                        walk,
-                        target,
-                        interval_span,
-                        scan_span,
-                    };
-                    return Step::Sends(vec![(tag, op)]);
+                    cursor.scan_span =
+                        start_span(transport, names::SPAN_SUCC_SCAN, u64::from(cursor.attempt));
+                    return self.send_probe(cursor, MessageKind::SuccessorScan);
                 }
                 ScanPhase::Finished => return Step::Done,
             }
         }
     }
 
-    /// Whether the machine has run to completion.
-    pub fn is_done(&self) -> bool {
-        matches!(self.phase, ScanPhase::Finished)
-            || (matches!(self.phase, ScanPhase::NextRank)
-                && (self.unresolved() == 0 || self.rank_idx == self.ranks.len()))
-    }
-
     /// Consume the machine and build one [`CountResult`] per metric,
     /// charging the ledger deltas since construction into the shared
-    /// [`CountStats`].
-    pub fn finish(mut self, ledger: &CostLedger) -> Vec<CountResult> {
+    /// [`CountStats`]; then record the operation (`op.count`, its
+    /// bytes/hops/probes, skipped intervals) and close its span. An
+    /// empty metric list yields an empty `Vec` and records nothing.
+    pub fn finish<T: Transport>(
+        mut self,
+        transport: &mut T,
+        ledger: &CostLedger,
+    ) -> Vec<CountResult> {
+        if self.metrics.is_empty() {
+            return Vec::new();
+        }
         self.stats.bytes = ledger.bytes() - self.bytes_before;
         self.stats.hops = ledger.hops() - self.hops_before;
         let stats = self.stats;
         let cfg = self.cfg;
-        match self.mode {
-            ScanMode::MaxRank { regs, .. } => {
-                // Vectors never seen: empty (register 0), or — with the
-                // bit-shift optimization — "max rank at least
-                // bit_shift − 1" (register b).
-                let floor: u8 = checked_cast(cfg.bit_shift);
-                self.metrics
-                    .iter()
-                    .zip(regs)
-                    .map(|(&metric, vec_regs)| {
-                        let registers: Vec<u8> =
-                            vec_regs.into_iter().map(|r| r.unwrap_or(floor)).collect();
-                        let estimate = match cfg.estimator {
-                            EstimatorKind::HyperLogLog => {
-                                hyperloglog_estimate_from_registers(&registers)
-                            }
-                            _ => superloglog_estimate_from_registers(&registers),
-                        };
-                        CountResult {
-                            metric,
-                            estimate,
-                            registers: registers.into_iter().map(u32::from).collect(),
-                            stats,
-                        }
-                    })
-                    .collect()
-            }
-            ScanMode::Pcsa { first_zero, .. } => {
-                // Vectors set at every scanned rank saturate at rank_bits.
-                let saturated = cfg.rank_bits();
-                self.metrics
-                    .iter()
-                    .zip(first_zero)
-                    .map(|(&metric, vec_zeros)| {
-                        let values: Vec<u32> = vec_zeros
-                            .into_iter()
-                            .map(|z| z.unwrap_or(saturated))
-                            .collect();
-                        CountResult {
-                            metric,
-                            estimate: pcsa_estimate_from_first_zeros(&values),
-                            registers: values,
-                            stats,
-                        }
-                    })
-                    .collect()
+        // Vectors never concluded. Max-rank: empty (register 0), or — with
+        // the bit-shift optimization — "max rank at least bit_shift − 1"
+        // (register b). PCSA: set at every scanned rank, so the lowest
+        // zero saturates at rank_bits.
+        let unseen = match self.mode {
+            ScanMode::MaxRank { .. } => cfg.bit_shift,
+            ScanMode::Pcsa { .. } => cfg.rank_bits(),
+        };
+        let results = self
+            .metrics
+            .iter()
+            .zip(self.resolved)
+            .map(|(&metric, cells)| {
+                let registers: Vec<u32> = cells.into_iter().map(|c| c.unwrap_or(unseen)).collect();
+                let bytes = || -> Vec<u8> { registers.iter().map(|&r| checked_cast(r)).collect() };
+                let estimate = match cfg.estimator {
+                    EstimatorKind::SuperLogLog => superloglog_estimate_from_registers(&bytes()),
+                    EstimatorKind::HyperLogLog => hyperloglog_estimate_from_registers(&bytes()),
+                    EstimatorKind::Pcsa => pcsa_estimate_from_first_zeros(&registers),
+                };
+                CountResult {
+                    metric,
+                    estimate,
+                    registers,
+                    stats,
+                }
+            })
+            .collect();
+        if let Some(r) = transport.recorder() {
+            r.incr(names::OP_COUNT, 1);
+            r.observe(names::OP_COUNT_BYTES, stats.bytes);
+            r.observe(names::OP_COUNT_HOPS, stats.hops);
+            r.observe(names::OP_COUNT_PROBES, stats.probes);
+            if stats.intervals_skipped > 0 {
+                r.incr(
+                    names::COUNT_HINT_SKIPPED,
+                    u64::from(stats.intervals_skipped),
+                );
             }
         }
+        end_span(transport, self.span);
+        results
     }
 }
 
@@ -1043,11 +991,6 @@ impl StoreMachine {
             return Step::Done;
         }
         Step::Sends(sends)
-    }
-
-    /// Whether every chain has retired.
-    pub fn is_done(&self) -> bool {
-        self.active.is_empty() && self.next_owner == self.owners.len()
     }
 
     /// Consume the machine, returning per-group success flags.

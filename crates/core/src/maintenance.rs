@@ -64,14 +64,9 @@ pub fn refresh_round_via<O: Overlay, T: Transport>(
     rng: &mut impl Rng,
     ledger: &mut CostLedger,
 ) -> usize {
-    let span = start_span(transport, names::SPAN_REFRESH, item_keys.len() as u64);
-    let shipped = dhs.bulk_insert_via(ring, transport, metric, item_keys, origin, rng, ledger);
-    if let Some(r) = transport.recorder() {
-        r.incr(names::OP_REFRESH, 1);
-        r.incr(names::OP_REFRESH_TUPLES, shipped as u64);
-    }
-    end_span(transport, span);
-    shipped
+    refresh(
+        dhs, ring, transport, None, metric, item_keys, origin, rng, ledger,
+    )
 }
 
 /// [`refresh_round`] with an origin-side [`EpochCache`]: rolls the cache
@@ -95,11 +90,11 @@ pub fn refresh_round_cached<O: Overlay>(
     rng: &mut impl Rng,
     ledger: &mut CostLedger,
 ) -> usize {
-    refresh_round_cached_via(
+    refresh(
         dhs,
         ring,
         &mut DirectTransport,
-        cache,
+        Some(cache),
         metric,
         item_keys,
         origin,
@@ -108,22 +103,25 @@ pub fn refresh_round_cached<O: Overlay>(
     )
 }
 
-/// [`refresh_round_cached`] over an explicit [`Transport`].
+/// The one refresh body: roll the cache's epoch (when there is one), then
+/// one bulk re-insertion inside a `refresh` span.
 #[allow(clippy::too_many_arguments)]
-pub fn refresh_round_cached_via<O: Overlay, T: Transport>(
+fn refresh<O: Overlay, T: Transport>(
     dhs: &Dhs,
     ring: &mut O,
     transport: &mut T,
-    cache: &mut EpochCache,
+    mut cache: Option<&mut EpochCache>,
     metric: MetricId,
     item_keys: &[u64],
     origin: u64,
     rng: &mut impl Rng,
     ledger: &mut CostLedger,
 ) -> usize {
-    cache.roll_epoch();
+    if let Some(cache) = cache.as_deref_mut() {
+        cache.roll_epoch();
+    }
     let span = start_span(transport, names::SPAN_REFRESH, item_keys.len() as u64);
-    let shipped = dhs.bulk_insert_cached_via(
+    let shipped = dhs.store_many(
         ring, transport, cache, metric, item_keys, origin, rng, ledger,
     );
     if let Some(r) = transport.recorder() {

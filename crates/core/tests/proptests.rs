@@ -3,12 +3,129 @@
 
 use dhs_core::retry::{hit_probability, prob_t_empty_probes, required_lim};
 use dhs_core::tuple::DhsTuple;
-use dhs_core::{Dhs, DhsConfig, EstimatorKind};
+use dhs_core::{Dhs, DhsConfig, EpochCache, EstimatorKind};
 use dhs_dht::cost::CostLedger;
 use dhs_dht::ring::{Ring, RingConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+
+/// A seeded RNG that counts its primitive draws, so "same stream" can be
+/// asserted draw for draw rather than inferred from equal outputs.
+struct Counted {
+    inner: StdRng,
+    draws: u64,
+}
+
+impl Counted {
+    fn new(seed: u64) -> Self {
+        Counted {
+            inner: StdRng::seed_from_u64(seed),
+            draws: 0,
+        }
+    }
+}
+
+impl RngCore for Counted {
+    fn next_u32(&mut self) -> u32 {
+        self.draws += 1;
+        self.inner.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.inner.next_u64()
+    }
+}
+
+/// Every stored cell of the ring, placement and expiry included.
+fn ring_state(ring: &Ring) -> Vec<(u64, u64, u64, u64)> {
+    let mut cells = Vec::new();
+    for &node in ring.alive_ids() {
+        for (app_key, rec) in ring.store_of(node).unwrap().iter() {
+            cells.push((node, app_key, rec.routing_key, rec.expires_at));
+        }
+    }
+    cells.sort_unstable();
+    cells
+}
+
+fn totals(ledger: &CostLedger) -> (u64, u64, u64, usize) {
+    (
+        ledger.hops(),
+        ledger.messages(),
+        ledger.bytes(),
+        ledger.nodes_visited(),
+    )
+}
+
+/// A small ring plus a handle whose `bit_shift` elides some items.
+fn n1_world(seed: u64, bit_shift: u32) -> (Ring, Dhs, u64) {
+    let ring = Ring::build(16, RingConfig::default(), &mut StdRng::seed_from_u64(seed));
+    let cfg = DhsConfig {
+        k: 20,
+        m: 16,
+        bit_shift,
+        ..DhsConfig::default()
+    };
+    let origin = ring.alive_ids()[0];
+    (ring, Dhs::new(cfg).unwrap(), origin)
+}
+
+/// A cache sized for a smaller `DhsConfig` than the `Dhs` it is handed to
+/// degrades to the uncached path for the cells it cannot hold: a fresh
+/// one stores exactly what `bulk_insert` stores, and a primed one keeps
+/// re-shipping the tuples outside its geometry.
+#[test]
+fn cache_sized_for_smaller_m_degrades_to_uncached() {
+    use dhs_sketch::ItemHasher;
+    let small = DhsConfig {
+        k: 20,
+        m: 16,
+        ..DhsConfig::default()
+    };
+    let dhs = Dhs::new(DhsConfig { m: 64, ..small }).unwrap();
+    let hasher = dhs_sketch::SplitMix64::default();
+    let keys: Vec<u64> = (0..3_000u64).map(|i| hasher.hash_u64(i)).collect();
+
+    let mut plain_ring = Ring::build(32, RingConfig::default(), &mut StdRng::seed_from_u64(5));
+    let mut cached_ring = plain_ring.clone();
+    let origin = plain_ring.alive_ids()[0];
+    let (mut plain_rng, mut cached_rng) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+    let (mut plain_ledger, mut cached_ledger) = (CostLedger::new(), CostLedger::new());
+
+    let plain = dhs.bulk_insert(
+        &mut plain_ring,
+        1,
+        &keys,
+        origin,
+        &mut plain_rng,
+        &mut plain_ledger,
+    );
+    let mut cache = EpochCache::new(&small);
+    let mut cached_round = |ring: &mut Ring, ledger: &mut CostLedger| {
+        dhs.bulk_insert_cached(ring, &mut cache, 1, &keys, origin, &mut cached_rng, ledger)
+    };
+    let cached = cached_round(&mut cached_ring, &mut cached_ledger);
+    assert_eq!(cached, plain, "a fresh cache elides nothing");
+    assert_eq!(ring_state(&cached_ring), ring_state(&plain_ring));
+    assert_eq!(totals(&cached_ledger), totals(&plain_ledger));
+
+    // Second round: the cells the cache holds are elided; the tuples
+    // outside its geometry (vector ≥ 16) ship again.
+    let mut outside: Vec<(u16, u32)> = keys
+        .iter()
+        .map(|&k| dhs.classify(k))
+        .filter(|&(vector, _)| usize::from(vector) >= small.m)
+        .collect();
+    outside.sort_unstable();
+    outside.dedup();
+    assert!(!outside.is_empty() && outside.len() < plain);
+    assert_eq!(
+        cached_round(&mut cached_ring, &mut cached_ledger),
+        outside.len()
+    );
+}
 
 proptest! {
     /// Tuple app-key packing is injective over its full field ranges.
@@ -155,5 +272,99 @@ proptest! {
         let (_, rank) = dhs.classify(item);
         prop_assert_eq!(stored, rank >= b);
         prop_assert_eq!(ring.total_live_bytes() > 0, rank >= b);
+    }
+
+    /// Single is the n = 1 case of bulk: from the same seed on cloned
+    /// rings, `bulk_insert(&[k])` and `insert(k)` leave identical ring
+    /// state, ledger totals and RNG draw counts.
+    #[test]
+    fn bulk_insert_of_one_is_insert(item in any::<u64>(), seed in any::<u64>(), b in 0u32..4) {
+        let (mut single_ring, dhs, origin) = n1_world(seed, b);
+        let mut bulk_ring = single_ring.clone();
+        let (mut single_rng, mut bulk_rng) = (Counted::new(seed), Counted::new(seed));
+        let (mut single_ledger, mut bulk_ledger) = (CostLedger::new(), CostLedger::new());
+
+        let stored =
+            dhs.insert(&mut single_ring, 1, item, origin, &mut single_rng, &mut single_ledger);
+        let shipped =
+            dhs.bulk_insert(&mut bulk_ring, 1, &[item], origin, &mut bulk_rng, &mut bulk_ledger);
+
+        prop_assert_eq!(usize::from(stored), shipped);
+        prop_assert_eq!(ring_state(&bulk_ring), ring_state(&single_ring));
+        prop_assert_eq!(totals(&bulk_ledger), totals(&single_ledger));
+        prop_assert_eq!(bulk_rng.draws, single_rng.draws);
+    }
+
+    /// The same with an `EpochCache` on both sides, over a first (miss)
+    /// and a repeated (hit) call: state, ledger, draws and the cache's
+    /// own hit/miss accounting all agree.
+    #[test]
+    fn bulk_insert_cached_of_one_is_insert_cached(
+        item in any::<u64>(),
+        seed in any::<u64>(),
+        b in 0u32..4,
+    ) {
+        let (mut single_ring, dhs, origin) = n1_world(seed, b);
+        let mut bulk_ring = single_ring.clone();
+        let (mut single_rng, mut bulk_rng) = (Counted::new(seed), Counted::new(seed));
+        let (mut single_ledger, mut bulk_ledger) = (CostLedger::new(), CostLedger::new());
+        let mut single_cache = EpochCache::new(dhs.config());
+        let mut bulk_cache = EpochCache::new(dhs.config());
+
+        for round in 0..2 {
+            let recorded = dhs.insert_cached(
+                &mut single_ring, &mut single_cache, 1, item, origin,
+                &mut single_rng, &mut single_ledger,
+            );
+            let shipped = dhs.bulk_insert_cached(
+                &mut bulk_ring, &mut bulk_cache, 1, &[item], origin,
+                &mut bulk_rng, &mut bulk_ledger,
+            );
+            // `insert_cached` answers "is the bit recorded"; only the
+            // first round actually ships it.
+            prop_assert_eq!(usize::from(recorded && round == 0), shipped);
+            prop_assert_eq!(ring_state(&bulk_ring), ring_state(&single_ring));
+            prop_assert_eq!(totals(&bulk_ledger), totals(&single_ledger));
+            prop_assert_eq!(bulk_rng.draws, single_rng.draws);
+            prop_assert_eq!(
+                (bulk_cache.hits(), bulk_cache.misses()),
+                (single_cache.hits(), single_cache.misses())
+            );
+        }
+    }
+
+    /// Single is the n = 1 case of multi: `count_multi(&[m])[0]` equals
+    /// `count(m)` bit for bit — estimate, registers, stats — at equal
+    /// ledger totals and draw counts, on every estimator.
+    #[test]
+    fn count_multi_of_one_is_count(
+        n_items in 0u64..2_000,
+        seed in any::<u64>(),
+        estimator in 0usize..3,
+    ) {
+        let estimator = [
+            EstimatorKind::SuperLogLog,
+            EstimatorKind::HyperLogLog,
+            EstimatorKind::Pcsa,
+        ][estimator];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ring = Ring::build(24, RingConfig::default(), &mut rng);
+        let dhs = Dhs::new(DhsConfig { k: 20, m: 16, estimator, ..DhsConfig::default() }).unwrap();
+        use dhs_sketch::ItemHasher;
+        let hasher = dhs_sketch::SplitMix64::default();
+        let keys: Vec<u64> = (0..n_items).map(|i| hasher.hash_u64(i)).collect();
+        let origin = ring.alive_ids()[0];
+        dhs.bulk_insert(&mut ring, 1, &keys, origin, &mut rng, &mut CostLedger::new());
+
+        let (mut single_rng, mut multi_rng) = (Counted::new(seed), Counted::new(seed));
+        let (mut single_ledger, mut multi_ledger) = (CostLedger::new(), CostLedger::new());
+        let single = dhs.count(&ring, 1, origin, &mut single_rng, &mut single_ledger);
+        let multi = dhs.count_multi(&ring, &[1], origin, &mut multi_rng, &mut multi_ledger);
+
+        prop_assert_eq!(multi.len(), 1);
+        prop_assert_eq!(multi[0].estimate.to_bits(), single.estimate.to_bits());
+        prop_assert_eq!(&multi[0], &single);
+        prop_assert_eq!(totals(&multi_ledger), totals(&single_ledger));
+        prop_assert_eq!(multi_rng.draws, single_rng.draws);
     }
 }

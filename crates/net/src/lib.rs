@@ -11,8 +11,9 @@
 //!   reordering jitter, node crash windows and network partitions;
 //! * [`telemetry::NetTelemetry`] — one record per message copy, with a
 //!   byte-exact serialized trace for determinism checks;
-//! * [`sim::SimTransport`] — the event-queue transport DHS insertion and
-//!   counting route through via `insert_via` / `count_via`;
+//! * [`sim::SimTransport`] — the event-queue transport DHS operations
+//!   route through when handed to one of `dhs-core`'s explicit-transport
+//!   (`_via`) entry points, e.g. `insert_via` / `count_via`;
 //! * [`wire::MessageSizes`] — message byte sizes derived from the DHS
 //!   config and `dhs-sketch`'s wire encodings.
 //!

@@ -61,7 +61,7 @@ impl MessageSizes {
     /// by one node, ride a single message. The payload is the sum of the
     /// groups' tuples; the per-message overhead (charged separately by
     /// the transport) is paid once instead of once per group — exactly
-    /// the saving `Dhs::bulk_insert_via` realizes.
+    /// the saving `Dhs::store_groups_via` realizes under every bulk insert.
     pub fn store_batch(&self, group_sizes: &[usize]) -> u64 {
         self.store(group_sizes.iter().sum())
     }

@@ -24,17 +24,17 @@
 // DHS operation counters and histograms (dhs-core).
 // ---------------------------------------------------------------------
 
-/// One `insert` / `insert_via` call that shipped a tuple.
+/// One `insert` / `insert_via` / `insert_cached` call that shipped a tuple.
 pub const OP_INSERT: &str = "op.insert";
 /// Insertions elided by `bit_shift` (the bit is implied, nothing stored).
 pub const OP_INSERT_ELIDED: &str = "op.insert.elided";
 /// Wire bytes charged by one insertion (histogram).
 pub const OP_INSERT_BYTES: &str = "op.insert.bytes";
-/// One `bulk_insert` / `bulk_insert_via` call.
+/// One `bulk_insert` / `bulk_insert_via` / `bulk_insert_cached` call.
 pub const OP_BULK_INSERT: &str = "op.bulk_insert";
 /// Tuples actually shipped by bulk insertions (after dedup/elision).
 pub const OP_BULK_INSERT_TUPLES: &str = "op.bulk_insert.tuples";
-/// One `count_multi` scan.
+/// One count scan of one or more metrics, recorded by `ScanMachine::finish`.
 pub const OP_COUNT: &str = "op.count";
 /// Wire bytes charged by one count scan (histogram).
 pub const OP_COUNT_BYTES: &str = "op.count.bytes";

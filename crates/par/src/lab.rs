@@ -13,23 +13,21 @@
 //! [`CostLedger`], scan machines keep one send outstanding at a time,
 //! and store machines apply register writes that commute across owners
 //! — so the permutation can change *interleaving* but never results.
-//! [`OooEngine`] mirrors `count_multi_via`'s recorder events
-//! (`op.count` counters, `count` spans) at the same per-operation
-//! points, which makes metric digests comparable against the in-order
-//! baseline; lab bookkeeping (completions delivered, reorder count) is
+//! Each [`ScanMachine`] records its own operation (`count` span opened
+//! on its first step, `op.count*` metrics and span close in `finish`),
+//! so [`OooEngine`] emits the same per-operation events as the in-order
+//! `count_multi_via` and metric digests are directly comparable; lab
+//! bookkeeping (completions delivered, reorder count) is
 //! returned out-of-band in [`OooStats`] precisely because it *is*
 //! permutation-dependent and must not contaminate the digest.
 
 use crate::rng::CountingRng;
 use dhs_core::machine::exec_send;
-use dhs_core::transport::{end_span, start_span};
 use dhs_core::{
-    CountResult, Dhs, EstimatorKind, MetricId, ScanMachine, SendOp, Step, StoreMachine, Transport,
-    TransportError,
+    CountResult, Dhs, MetricId, ScanMachine, SendOp, Step, StoreMachine, Transport, TransportError,
 };
 use dhs_dht::cost::CostLedger;
 use dhs_dht::overlay::Overlay;
-use dhs_obs::names;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One submitted send awaiting completion.
@@ -48,8 +46,7 @@ pub struct Submission {
 /// Pending submissions sit in submission order;
 /// [`pop_seeded`](Self::pop_seeded) removes one at a seeded-uniform
 /// position, which over a whole run replays completions in an arbitrary
-/// reproducible permutation. [`pop_fifo`](Self::pop_fifo) is the degenerate in-order
-/// case.
+/// reproducible permutation.
 #[derive(Debug, Default)]
 pub struct CompletionLab {
     pending: Vec<Submission>,
@@ -68,16 +65,6 @@ impl CompletionLab {
         self.pending.push(Submission { source, tag, op });
     }
 
-    /// Number of sends awaiting completion.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether no sends are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
     /// Complete the pending send at a seeded-uniform position.
     pub fn pop_seeded(&mut self, sched: &mut impl Rng) -> Option<Submission> {
         if self.pending.is_empty() {
@@ -89,15 +76,6 @@ impl CompletionLab {
         }
         self.completions += 1;
         Some(self.pending.remove(idx))
-    }
-
-    /// Complete the oldest pending send (strict submission order).
-    pub fn pop_fifo(&mut self) -> Option<Submission> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        self.completions += 1;
-        Some(self.pending.remove(0))
     }
 
     /// Completions delivered so far.
@@ -140,8 +118,6 @@ struct CountOp {
     machine: ScanMachine,
     rng: CountingRng<StdRng>,
     ledger: CostLedger,
-    span: Option<u64>,
-    metrics_len: u64,
 }
 
 /// Drives a batch of independent count operations with completions
@@ -171,16 +147,10 @@ impl<'a> OooEngine<'a> {
     /// seeded with `seed`. Returns the operation's index.
     pub fn push_count(&mut self, metrics: &[MetricId], origin: u64, seed: u64) -> usize {
         let ledger = CostLedger::new();
-        let machine = match self.dhs.config().estimator {
-            EstimatorKind::Pcsa => ScanMachine::pcsa(self.dhs, metrics, origin, &ledger),
-            _ => ScanMachine::max_rank(self.dhs, metrics, origin, None, &ledger),
-        };
         self.ops.push(CountOp {
-            machine,
+            machine: ScanMachine::new(self.dhs, metrics, origin, None, &ledger),
             rng: CountingRng::new(StdRng::seed_from_u64(seed)),
             ledger,
-            span: None,
-            metrics_len: metrics.len() as u64,
         });
         self.ops.len() - 1
     }
@@ -199,7 +169,6 @@ impl<'a> OooEngine<'a> {
         } = self;
         // Start every machine; first steps issue the initial sends.
         for (idx, op) in ops.iter_mut().enumerate() {
-            op.span = start_span(transport, names::SPAN_COUNT, op.metrics_len);
             step_op(idx, op, None, ring, transport, &mut lab);
         }
         // Complete in scheduler order; each completion may issue the
@@ -224,7 +193,13 @@ impl<'a> OooEngine<'a> {
             completions: lab.completions(),
             reordered: lab.reordered(),
         };
-        let outcomes = ops.into_iter().map(|op| finish_op(op, transport)).collect();
+        let outcomes = ops
+            .into_iter()
+            .map(|op| CountOutcome {
+                draws: op.rng.draws(),
+                results: op.machine.finish(transport, &op.ledger),
+            })
+            .collect();
         (outcomes, stats)
     }
 }
@@ -251,28 +226,6 @@ fn step_op<O: Overlay, T: Transport>(
     }
 }
 
-/// Close out a finished operation, mirroring `count_multi_via`'s
-/// recorder events so digests stay comparable with the in-order path.
-fn finish_op<T: Transport>(op: CountOp, transport: &mut T) -> CountOutcome {
-    let draws = op.rng.draws();
-    let results = op.machine.finish(&op.ledger);
-    if let Some(r) = transport.recorder() {
-        let stats = results[0].stats;
-        r.incr(names::OP_COUNT, 1);
-        r.observe(names::OP_COUNT_BYTES, stats.bytes);
-        r.observe(names::OP_COUNT_HOPS, stats.hops);
-        r.observe(names::OP_COUNT_PROBES, stats.probes);
-        if stats.intervals_skipped > 0 {
-            r.incr(
-                names::COUNT_HINT_SKIPPED,
-                u64::from(stats.intervals_skipped),
-            );
-        }
-    }
-    end_span(transport, op.span);
-    CountOutcome { results, draws }
-}
-
 /// Drive a [`StoreMachine`] with completions delivered in a seeded
 /// permutation. With `window > 1` the machine keeps several owner
 /// chains in flight, so the permutation genuinely interleaves primary
@@ -286,26 +239,9 @@ pub fn drive_store_ooo<O: Overlay, T: Transport>(
     sched: &mut impl Rng,
 ) -> OooStats {
     let mut lab = CompletionLab::new();
-    match machine.step(None, ring, transport, ledger) {
-        Step::Done => {
-            return OooStats {
-                completions: 0,
-                reordered: 0,
-            }
-        }
-        Step::Sends(sends) => {
-            for (tag, op) in sends {
-                lab.submit(0, tag, op);
-            }
-        }
-    }
+    let mut completion = None;
     loop {
-        let popped = lab.pop_seeded(sched);
-        let Some(sub) = popped else {
-            break;
-        };
-        let result = exec_send(&sub.op, &*ring, transport, ledger);
-        match machine.step(Some((sub.tag, result)), ring, transport, ledger) {
+        match machine.step(completion.take(), ring, transport, ledger) {
             Step::Done => break,
             Step::Sends(sends) => {
                 for (tag, op) in sends {
@@ -313,6 +249,11 @@ pub fn drive_store_ooo<O: Overlay, T: Transport>(
                 }
             }
         }
+        let popped = lab.pop_seeded(sched);
+        let Some(sub) = popped else {
+            break;
+        };
+        completion = Some((sub.tag, exec_send(&sub.op, &*ring, transport, ledger)));
     }
     OooStats {
         completions: lab.completions(),

@@ -166,6 +166,29 @@ proptest! {
     }
 }
 
+/// An operation queued with no metrics is empty, not a panic: no
+/// results, no draws, and it leaves the metric digest of the operations
+/// queued beside it untouched.
+#[test]
+fn ooo_engine_accepts_an_empty_metric_list() {
+    let (ring, dhs, origin) = build_world(3, false);
+    let run = |ops: &[&[u32]]| {
+        let mut transport = Observed::new(DirectTransport, Observer::new(1));
+        let mut engine = OooEngine::new(&dhs);
+        for (i, metrics) in ops.iter().enumerate() {
+            engine.push_count(metrics, origin, 40 + i as u64);
+        }
+        let (outcomes, _) = engine.run(&ring, &mut transport, &mut StdRng::seed_from_u64(9));
+        (outcomes, transport.observer().metrics.digest())
+    };
+    let (with_empty, digest_with) = run(&[&[1], &[]]);
+    let (without, digest_without) = run(&[&[1]]);
+    assert!(with_empty[1].results.is_empty());
+    assert_eq!(with_empty[1].draws, 0);
+    assert_eq!(with_empty[0].results, without[0].results);
+    assert_eq!(digest_with, digest_without);
+}
+
 /// The saturation workload for the threaded-driver tests.
 fn small_workload() -> TenantWorkload {
     TenantWorkload {

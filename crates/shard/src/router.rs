@@ -1,7 +1,7 @@
 //! Deterministic shard routing and cross-shard flush batching.
 //!
 //! The router generalizes the owner-batched store path of `dhs-core`
-//! (PR 3's two-pass `store_grouped`): callers append register updates to
+//! (the two-pass `Dhs::store_groups_via`): callers append register updates to
 //! a [`FlushBatch`] in whatever order they arrive, and the batch drains
 //! *grouped by destination shard* — one contiguous run of updates per
 //! shard, shards in ascending order, arrival order preserved within each

@@ -41,6 +41,9 @@ echo "dhs-lint --flow: clean, two runs byte-identical"
 
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
+# The benchmark crate sits outside the workspace and most PRs may not edit
+# it: building it here is what notices a surface change that breaks it.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 cargo build --workspace --examples
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
