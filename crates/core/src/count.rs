@@ -25,14 +25,172 @@ use rand::Rng;
 use dhs_dht::cost::CostLedger;
 use dhs_dht::overlay::Overlay;
 use dhs_obs::names;
+use dhs_sketch::{
+    hyperloglog_estimate_from_registers, pcsa_estimate_from_first_zeros,
+    superloglog_estimate_from_registers,
+};
 
-use crate::config::EstimatorKind;
+use crate::cast::checked_cast;
+use crate::config::{DhsConfig, EstimatorKind};
 use crate::fast::ScanHint;
 use crate::insert::Dhs;
-use crate::machine::{drive_scan_in_order, ScanMachine};
-use crate::stats::CountResult;
-use crate::transport::{DirectTransport, Transport};
-use crate::tuple::MetricId;
+use crate::intervals::{interval_for_rank, WalkState};
+use crate::stats::{CountResult, CountStats};
+use crate::transport::{
+    end_span, routed_send, start_span, with_retry, DirectTransport, MessageKind, Transport,
+};
+use crate::tuple::{DhsTuple, MetricId};
+
+/// Estimator-specific state of a scan, beside the shared `resolved`
+/// registers.
+enum ScanMode {
+    /// DHS-sLL / DHS-HLL: descending ranks, the first hit is the max
+    /// (register = rank + 1). `hint` is the adaptive-scan start rank.
+    MaxRank { hint: Option<u32> },
+    /// DHS-PCSA: ascending ranks, the first miss is the lowest zero.
+    /// `confirmed` marks vectors seen set at the current rank;
+    /// `in_question` counts unresolved vectors not yet confirmed.
+    Pcsa {
+        confirmed: Vec<Vec<bool>>,
+        in_question: usize,
+    },
+}
+
+/// What one scan has concluded so far about every requested register.
+struct Registers<'a> {
+    metrics: &'a [MetricId],
+    m: usize,
+    mode: ScanMode,
+    /// Per `(metric, vector)`: the concluded register — max rank + 1, or
+    /// lowest zero — once known.
+    resolved: Vec<Vec<Option<u32>>>,
+    unresolved: usize,
+}
+
+impl<'a> Registers<'a> {
+    /// Nothing concluded yet: descending max-rank state for super-LogLog /
+    /// HyperLogLog (they share storage; only the register→estimate formula
+    /// differs), ascending lowest-zero state for PCSA, which scans upward
+    /// and ignores `start_rank`.
+    fn new(cfg: &DhsConfig, metrics: &'a [MetricId], start_rank: Option<u32>) -> Self {
+        let mode = match cfg.estimator {
+            EstimatorKind::SuperLogLog | EstimatorKind::HyperLogLog => {
+                ScanMode::MaxRank { hint: start_rank }
+            }
+            EstimatorKind::Pcsa => ScanMode::Pcsa {
+                confirmed: vec![vec![false; cfg.m]; metrics.len()],
+                in_question: 0,
+            },
+        };
+        Registers {
+            metrics,
+            m: cfg.m,
+            mode,
+            resolved: vec![vec![None; cfg.m]; metrics.len()],
+            unresolved: metrics.len() * cfg.m,
+        }
+    }
+
+    /// Apply one successful probe's evidence: every requested tuple
+    /// present at `target` for `rank` updates the resolution state.
+    ///
+    /// Out of line on purpose: these `metrics × m` fetches per probe are
+    /// where a count's time goes, and compiled on its own the loop keeps
+    /// its code whatever the scan body around the call grows into.
+    #[inline(never)]
+    fn apply_hits<O: Overlay>(&mut self, ring: &O, target: u64, rank: u32) {
+        for mi in 0..self.metrics.len() {
+            let metric = self.metrics[mi];
+            for vector in 0..self.m {
+                let tuple = DhsTuple {
+                    metric,
+                    vector: checked_cast(vector),
+                    bit: checked_cast(rank),
+                };
+                if ring.fetch_at(target, tuple.app_key()).is_none()
+                    || self.resolved[mi][vector].is_some()
+                {
+                    continue;
+                }
+                match &mut self.mode {
+                    ScanMode::MaxRank { .. } => {
+                        self.resolved[mi][vector] = Some(rank + 1);
+                        self.unresolved -= 1;
+                    }
+                    ScanMode::Pcsa {
+                        confirmed,
+                        in_question,
+                    } => {
+                        if !confirmed[mi][vector] {
+                            confirmed[mi][vector] = true;
+                            *in_question -= 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether the current rank needs no further probe: every vector is
+    /// resolved (max-rank), or every still-open vector was seen set here
+    /// (PCSA).
+    fn rank_settled(&self) -> bool {
+        match &self.mode {
+            ScanMode::MaxRank { .. } => self.unresolved == 0,
+            ScanMode::Pcsa { in_question, .. } => *in_question == 0,
+        }
+    }
+
+    /// Close out a fully probed rank (PCSA concludes lowest zeros for
+    /// candidates never seen set; max-rank has nothing to conclude).
+    fn conclude_rank(&mut self, rank: u32) {
+        if let ScanMode::Pcsa { confirmed, .. } = &self.mode {
+            // Candidates never seen set at this rank: their lowest zero
+            // is here (possibly wrongly, if all `lim` probes missed —
+            // §4.1).
+            for (mi, row) in confirmed.iter().enumerate() {
+                for (vector, &is_set) in row.iter().enumerate() {
+                    if self.resolved[mi][vector].is_none() && !is_set {
+                        self.resolved[mi][vector] = Some(rank);
+                        self.unresolved -= 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One [`CountResult`] per metric, each carrying the operation-total
+    /// `stats`.
+    fn into_results(self, cfg: &DhsConfig, stats: CountStats) -> Vec<CountResult> {
+        // Vectors never concluded. Max-rank: empty (register 0), or — with
+        // the bit-shift optimization — "max rank at least bit_shift − 1"
+        // (register b). PCSA: set at every scanned rank, so the lowest
+        // zero saturates at rank_bits.
+        let unseen = match self.mode {
+            ScanMode::MaxRank { .. } => cfg.bit_shift,
+            ScanMode::Pcsa { .. } => cfg.rank_bits(),
+        };
+        self.metrics
+            .iter()
+            .zip(self.resolved)
+            .map(|(&metric, cells)| {
+                let registers: Vec<u32> = cells.into_iter().map(|c| c.unwrap_or(unseen)).collect();
+                let bytes = || -> Vec<u8> { registers.iter().map(|&r| checked_cast(r)).collect() };
+                let estimate = match cfg.estimator {
+                    EstimatorKind::SuperLogLog => superloglog_estimate_from_registers(&bytes()),
+                    EstimatorKind::HyperLogLog => hyperloglog_estimate_from_registers(&bytes()),
+                    EstimatorKind::Pcsa => pcsa_estimate_from_first_zeros(&registers),
+                };
+                CountResult {
+                    metric,
+                    estimate,
+                    registers,
+                    stats,
+                }
+            })
+            .collect()
+    }
+}
 
 impl Dhs {
     /// Estimate the cardinality of a single metric from node `origin`.
@@ -67,7 +225,7 @@ impl Dhs {
 
     /// Estimate several metrics in one scan (multi-dimensional counting,
     /// §4.2). The scan's cost is shared: every returned result carries the
-    /// same operation-total [`CountStats`](crate::CountStats). An empty
+    /// same operation-total [`CountStats`]. An empty
     /// metric list is an empty operation: no results, no traffic.
     pub fn count_multi<O: Overlay>(
         &self,
@@ -132,12 +290,18 @@ impl Dhs {
         .expect("one metric in, one result out")
     }
 
-    /// The one scan body behind every `count*` form: a [`ScanMachine`]
-    /// (descending for DHS-sLL / DHS-HLL, ascending for DHS-PCSA — the
-    /// machine picks from the configured estimator) driven in strict
-    /// submission order, the degenerate in-order case of the
-    /// completion-based protocol. `hint`, when given, supplies the start
-    /// rank and is updated with the fresh estimates.
+    /// The one scan body behind every `count*` form — Algorithm 1 as the
+    /// sequential walk it is: which node the next probe addresses depends
+    /// on what the last one concluded, so there is never more than one
+    /// exchange outstanding. Ranks descend for DHS-sLL / DHS-HLL and
+    /// ascend for DHS-PCSA (picked from the configured estimator); per
+    /// rank, one interval-key draw, one routed lookup, then up to `lim`
+    /// probes along the interval's [`WalkState`]. `hint`, when given,
+    /// supplies the start rank and is updated with the fresh estimates.
+    /// This body is the one emitter of the operation's own observability:
+    /// it opens the `count` span before the first draw, records the
+    /// `op.count*` metrics and closes the span at the end. An empty
+    /// metric list is an empty operation: no span, no draws, no events.
     #[allow(clippy::too_many_arguments)]
     fn scan<O: Overlay, T: Transport>(
         &self,
@@ -149,10 +313,11 @@ impl Dhs {
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
     ) -> Vec<CountResult> {
+        let cfg = self.config();
         let mut start_rank = None;
         if let Some(hint) = hint.as_deref() {
-            if self.config().estimator != EstimatorKind::Pcsa {
-                start_rank = hint.start_rank(self.config(), metrics);
+            if cfg.estimator != EstimatorKind::Pcsa {
+                start_rank = hint.start_rank(cfg, metrics);
             }
             if let Some(r) = transport.recorder() {
                 let key = if start_rank.is_some() {
@@ -163,9 +328,125 @@ impl Dhs {
                 r.incr(key, 1);
             }
         }
-        let mut machine = ScanMachine::new(self, metrics, origin, start_rank, ledger);
-        drive_scan_in_order(&mut machine, ring, transport, rng, ledger);
-        let results = machine.finish(transport, ledger);
+        if metrics.is_empty() {
+            return Vec::new();
+        }
+        let (bytes_before, hops_before) = (ledger.bytes(), ledger.hops());
+        let span = start_span(transport, names::SPAN_COUNT, metrics.len() as u64);
+        let request = u64::from(cfg.request_bytes);
+        let response = cfg.response_bytes(metrics.len());
+        let mut stats = CountStats::default();
+        let mut regs = Registers::new(cfg, metrics, start_rank);
+        let descending = matches!(regs.mode, ScanMode::MaxRank { .. });
+        let (bottom, top) = (cfg.bit_shift, cfg.scan_bits());
+        for up in bottom..top {
+            if regs.unresolved == 0 {
+                break;
+            }
+            let rank = if descending {
+                top - 1 - (up - bottom)
+            } else {
+                up
+            };
+            let interval = interval_for_rank(cfg, rank);
+            let attempts = match &mut regs.mode {
+                ScanMode::MaxRank { hint } => {
+                    let above_hint = hint.is_some_and(|h| rank > h);
+                    if above_hint && rank >= cfg.rank_bits() {
+                        // Structurally empty: `classify` saturates ranks at
+                        // rank_bits − 1, so no insertion can ever populate
+                        // this interval. Draw (and discard) the interval
+                        // key the full scan would have drawn, keeping the
+                        // RNG stream — and therefore every later probe —
+                        // byte-identical.
+                        let _ = rng.gen_range(interval.lo..=interval.hi);
+                        stats.intervals_skipped += 1;
+                        continue;
+                    }
+                    // Above the hint a single-owner interval is concluded
+                    // by its one owner: every tuple of the interval lives
+                    // there, so walk retries cannot change the outcome.
+                    if above_hint && ring.owner_of(interval.lo) == ring.owner_of(interval.hi) {
+                        1
+                    } else {
+                        cfg.lim
+                    }
+                }
+                ScanMode::Pcsa {
+                    confirmed,
+                    in_question,
+                } => {
+                    for row in confirmed.iter_mut() {
+                        row.iter_mut().for_each(|c| *c = false);
+                    }
+                    // Unresolved vectors not yet confirmed set at this
+                    // rank.
+                    *in_question = regs.unresolved;
+                    cfg.lim
+                }
+            };
+            let interval_span = start_span(transport, names::SPAN_INTERVAL, u64::from(rank));
+            let key = rng.gen_range(interval.lo..=interval.hi);
+            let mut target = ring.owner_of(key);
+            stats.lookups += 1;
+            stats.intervals_scanned += 1;
+            let found = routed_send(
+                ring,
+                transport,
+                ledger,
+                origin,
+                key,
+                target,
+                MessageKind::Lookup,
+                request,
+            );
+            if found.is_err() {
+                // Lookup unreachable: skip this interval (PCSA draws no
+                // first-zero conclusions without probe evidence).
+                end_span(transport, interval_span);
+                continue;
+            }
+            let mut walk = WalkState::new(interval, target);
+            let mut kind = MessageKind::Probe;
+            let mut scan_span = None;
+            for attempt in 1..=attempts {
+                stats.probes += 1;
+                let probed = with_retry(transport, |t| {
+                    t.exchange(origin, target, kind, request, response, ledger)
+                });
+                if probed.is_ok() {
+                    ledger.record_visit(target);
+                    regs.apply_hits(ring, target, rank);
+                }
+                end_span(transport, scan_span);
+                if regs.rank_settled() || attempt == attempts {
+                    break;
+                }
+                // One hop to the walk's next node, then a successor probe.
+                target = walk.next_target(ring);
+                ledger.charge_hops(1);
+                scan_span = start_span(transport, names::SPAN_SUCC_SCAN, u64::from(attempt));
+                kind = MessageKind::SuccessorScan;
+            }
+            end_span(transport, interval_span);
+            regs.conclude_rank(rank);
+        }
+        stats.bytes = ledger.bytes() - bytes_before;
+        stats.hops = ledger.hops() - hops_before;
+        let results = regs.into_results(cfg, stats);
+        if let Some(r) = transport.recorder() {
+            r.incr(names::OP_COUNT, 1);
+            r.observe(names::OP_COUNT_BYTES, stats.bytes);
+            r.observe(names::OP_COUNT_HOPS, stats.hops);
+            r.observe(names::OP_COUNT_PROBES, stats.probes);
+            if stats.intervals_skipped > 0 {
+                r.incr(
+                    names::COUNT_HINT_SKIPPED,
+                    u64::from(stats.intervals_skipped),
+                );
+            }
+        }
+        end_span(transport, span);
         if let Some(hint) = hint {
             for result in &results {
                 hint.record(result.metric, result.estimate);
@@ -544,5 +825,29 @@ mod tests {
         // Walk hops = probes − lookups (each retry is one hop).
         assert!(s.hops >= s.probes - s.lookups);
         assert!(s.bytes > 0);
+    }
+
+    /// Over `DirectTransport` a probe is one message of request + response
+    /// bytes (16 + 72 at the paper's m = 512) and a lookup one message
+    /// carrying the request across its routed hops.
+    #[test]
+    fn direct_probe_charges_one_message_and_88_bytes() {
+        let (ring, mut rng) = setup(16, 1);
+        let dhs = Dhs::new(DhsConfig::default()).unwrap();
+        let mut ledger = CostLedger::new();
+        let origin = ring.alive_ids()[0];
+        let s = dhs
+            .count_via(
+                &ring,
+                &mut DirectTransport,
+                1,
+                origin,
+                &mut rng,
+                &mut ledger,
+            )
+            .stats;
+        assert_eq!(ledger.messages(), s.lookups + s.probes);
+        let routed_hops = s.hops - (s.probes - s.lookups);
+        assert_eq!(ledger.bytes(), 88 * s.probes + 16 * routed_hops);
     }
 }

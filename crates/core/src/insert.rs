@@ -16,18 +16,23 @@
 //! group with a single lookup, touching at most `k` nodes per round
 //! ([`Dhs::bulk_insert`]).
 
+use std::collections::BTreeMap;
+
 use rand::Rng;
 
 use dhs_dht::cost::CostLedger;
 use dhs_dht::overlay::Overlay;
+use dhs_dht::storage::StoredRecord;
 use dhs_obs::names;
 use dhs_sketch::rho::{lsb, rho};
 
 use crate::cast::checked_cast;
 use crate::config::{ConfigError, DhsConfig};
 use crate::fast::EpochCache;
-use crate::machine::{drive_store_in_order, StoreMachine};
-use crate::transport::{end_span, start_span, DirectTransport, Transport};
+use crate::intervals::interval_for_rank;
+use crate::transport::{
+    end_span, routed_send, start_span, with_retry, DirectTransport, MessageKind, Transport,
+};
 use crate::tuple::{DhsTuple, MetricId};
 
 /// The DHS protocol handle: a validated configuration plus the insertion
@@ -368,18 +373,16 @@ impl Dhs {
     /// accounting unchanged. Groups must be in the caller's canonical
     /// order (ascending rank, deduplicated tuples).
     ///
-    /// The store is a [`StoreMachine`] driven in strict submission order
-    /// with a window of 1. Its first pass draws every group's routing key
-    /// in group order — the exact RNG stream of per-group stores — so
-    /// batching changes message counts but never placement: each tuple
-    /// lands on precisely the node (and replicas) it would have reached
-    /// unbatched. Each send goes through `transport` under its retry
-    /// policy; every attempt re-routes and re-charges (the resent message
-    /// crosses the wire again). A primary store that never gets through
-    /// stores nothing; a lost replica leg breaks the successor forwarding
-    /// chain at that point. Out-of-order engines construct the machine
-    /// themselves, with a wider window, to keep several owner chains in
-    /// flight.
+    /// Pass 1 draws every group's routing key in group order — the exact
+    /// RNG stream of per-group stores — so batching changes message counts
+    /// but never placement: each tuple lands on precisely the node (and
+    /// replicas) it would have reached unbatched. Pass 2 serves the owners
+    /// one after another in ascending identifier order: one routed store,
+    /// the put, then the §3.5 successor chain. Each send goes through
+    /// `transport` under its retry policy; every attempt re-routes and
+    /// re-charges (the resent message crosses the wire again). A primary
+    /// store that never gets through stores nothing; a lost replica leg
+    /// breaks the successor forwarding chain at that point.
     pub fn store_groups_via<O: Overlay, T: Transport>(
         &self,
         ring: &mut O,
@@ -389,9 +392,93 @@ impl Dhs {
         rng: &mut impl Rng,
         ledger: &mut CostLedger,
     ) -> Vec<bool> {
-        let mut machine = StoreMachine::new(&self.cfg, groups.to_vec(), origin, 1, &*ring, rng);
-        drive_store_in_order(&mut machine, ring, transport, ledger);
-        machine.into_ok()
+        let cfg = &self.cfg;
+        // Pass 1: per-group `(routing_key, owner)`, drawn in caller
+        // (ascending-rank) order.
+        let placements: Vec<(u64, u64)> = groups
+            .iter()
+            .map(|&(rank, _)| {
+                let interval = interval_for_rank(cfg, rank);
+                let routing_key = rng.gen_range(interval.lo..=interval.hi);
+                (routing_key, ring.owner_of(routing_key))
+            })
+            .collect();
+        // Pass 2: one store chain per distinct owner.
+        let mut by_owner: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (i, &(_, owner)) in placements.iter().enumerate() {
+            by_owner.entry(owner).or_default().push(i);
+        }
+        let mut ok = vec![false; groups.len()];
+        for (&owner, members) in &by_owner {
+            let tuple_count: u64 = members.iter().map(|&i| groups[i].1.len() as u64).sum();
+            let payload = u64::from(cfg.tuple_bytes) * tuple_count;
+            let routing_key = placements[members[0]].0;
+            let route_span = start_span(transport, names::SPAN_ROUTE, tuple_count);
+            let stored = routed_send(
+                &*ring,
+                transport,
+                ledger,
+                origin,
+                routing_key,
+                owner,
+                MessageKind::Store,
+                payload,
+            );
+            end_span(transport, route_span);
+            // Every attempt timed out: these tuples are lost.
+            let lost = stored.is_err();
+            if let Some(r) = transport.recorder() {
+                r.observe(names::BATCH_SIZE, tuple_count);
+                if lost {
+                    r.incr(names::OP_STORE_LOST, 1);
+                }
+            }
+            if lost {
+                continue;
+            }
+            for &i in members {
+                ok[i] = true;
+            }
+            let expires_at = ring.time().saturating_add(cfg.ttl);
+            let store_span = start_span(transport, names::SPAN_STORE, tuple_count);
+            // Store every member group's tuples at `holder`.
+            let put_members = |ring: &mut O, holder: u64| {
+                for &i in members {
+                    let record = StoredRecord {
+                        expires_at,
+                        size_bytes: cfg.tuple_bytes,
+                        routing_key: placements[i].0,
+                    };
+                    for tuple in &groups[i].1 {
+                        ring.put_at(holder, tuple.app_key(), record);
+                    }
+                }
+            };
+            // Replication round 0: the primary holder stores the batch;
+            // each further round forwards it one successor along.
+            let mut holder = owner;
+            put_members(ring, holder);
+            for _ in 1..cfg.replication {
+                let next = ring.next_node(holder);
+                if next == owner {
+                    // Ring smaller than the replication degree.
+                    break;
+                }
+                ledger.charge_hops(1);
+                let forwarded = with_retry(transport, |t| {
+                    t.exchange(holder, next, MessageKind::Store, payload, 0, ledger)
+                });
+                if forwarded.is_err() {
+                    // Forwarding chain broken at this successor.
+                    break;
+                }
+                holder = next;
+                ledger.record_visit(holder);
+                put_members(ring, holder);
+            }
+            end_span(transport, store_span);
+        }
+        ok
     }
 }
 

@@ -19,6 +19,8 @@
 //! (bits below `b` are never stored), giving the highest — smallest-
 //! interval — bits more nodes to live on.
 
+use dhs_dht::overlay::Overlay;
+
 use crate::config::DhsConfig;
 
 /// An inclusive identifier range `[lo, hi]` (inclusive on both ends so
@@ -47,6 +49,56 @@ impl IdInterval {
     /// Expected number of nodes inside, for `n_nodes` uniform node ids.
     pub fn expected_nodes(&self, n_nodes: usize) -> f64 {
         self.size() / 2f64.powi(64) * n_nodes as f64
+    }
+}
+
+/// The Alg. 1 walk order inside one interval, with no borrow of the
+/// ring: successors while the current node stays inside the interval,
+/// then predecessors of the original target.
+#[derive(Debug, Clone, Copy)]
+pub struct WalkState {
+    interval: IdInterval,
+    first: u64,
+    cur: u64,
+    going_succ: bool,
+}
+
+impl WalkState {
+    /// A walk over `interval` starting at lookup target `first`.
+    pub fn new(interval: IdInterval, first: u64) -> Self {
+        WalkState {
+            interval,
+            first,
+            cur: first,
+            going_succ: true,
+        }
+    }
+
+    /// The next node to probe (one hop away from the current one).
+    ///
+    /// Successor direction first (Alg. 1 line 13, `id < thr(r−1)`): we
+    /// keep stepping while the *current* node is still inside the
+    /// interval, which deliberately probes one node **past** the
+    /// interval's top boundary — in Chord that successor owns the
+    /// interval's topmost keys, so tuples stored under them live there.
+    /// (In sparse intervals, which decide the estimate, that boundary
+    /// owner holds everything.) Then predecessors of the original target.
+    pub fn next_target<O: Overlay>(&mut self, ring: &O) -> u64 {
+        if self.going_succ {
+            if self.interval.contains(self.cur) {
+                let next = ring.next_node(self.cur);
+                if next != self.first {
+                    self.cur = next;
+                    return next;
+                }
+            }
+            // Walked out of the interval (or wrapped): restart from the
+            // original target, walking predecessors.
+            self.going_succ = false;
+            self.cur = self.first;
+        }
+        self.cur = ring.prev_node(self.cur);
+        self.cur
     }
 }
 

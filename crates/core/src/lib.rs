@@ -61,7 +61,6 @@ pub mod count;
 pub mod fast;
 pub mod insert;
 pub mod intervals;
-pub mod machine;
 pub mod maintenance;
 pub mod retry;
 pub mod stats;
@@ -72,7 +71,6 @@ pub use cast::{checked_cast, try_cast};
 pub use config::{ConfigError, DhsConfig, EstimatorKind};
 pub use fast::{EpochCache, ScanHint};
 pub use insert::Dhs;
-pub use machine::{RetryDecision, RetryState, ScanMachine, SendOp, Step, StoreMachine};
 pub use retry::{Backoff, RetryPolicy};
 pub use stats::CountResult;
 pub use stats::{CountStats, Summary};

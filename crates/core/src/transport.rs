@@ -27,6 +27,7 @@
 //! (probe / successor-walk / replica leg).
 
 use dhs_dht::cost::CostLedger;
+use dhs_dht::overlay::Overlay;
 use dhs_obs::{names, Recorder};
 
 use crate::retry::RetryPolicy;
@@ -380,7 +381,9 @@ impl Transport for DirectTransport {
 /// Run `attempt` under the transport's [`RetryPolicy`]: re-invoke on
 /// timeout (each attempt re-charges its own wire traffic), pausing the
 /// policy's backoff delay between attempts. Returns the first success or
-/// the last timeout.
+/// the last timeout. This is the one retry loop in the crate — every
+/// exchange of every DHS operation goes through it — and the one emitter
+/// of `exchange.attempts` / `exchange.gave_up`.
 pub fn with_retry<T: Transport + ?Sized>(
     transport: &mut T,
     mut attempt: impl FnMut(&mut T) -> Result<(), TransportError>,
@@ -404,6 +407,33 @@ pub fn with_retry<T: Transport + ?Sized>(
         }
     }
     last
+}
+
+/// One routed send — a [`MessageKind::Lookup`] (Alg. 1 line 8) or a
+/// [`MessageKind::Store`] (§3.2) — of `payload` bytes to `dst`, the owner
+/// the caller already resolved for `key`, under [`with_retry`]. Every
+/// attempt re-routes from `origin` and re-charges its hops: the resent
+/// message crosses the wire again.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn routed_send<O: Overlay, T: Transport>(
+    ring: &O,
+    transport: &mut T,
+    ledger: &mut CostLedger,
+    origin: u64,
+    key: u64,
+    dst: u64,
+    kind: MessageKind,
+    payload: u64,
+) -> Result<(), TransportError> {
+    with_retry(transport, |t| {
+        let hops_before = ledger.hops();
+        match t.recorder() {
+            Some(obs) => ring.route_observed(origin, key, ledger, obs),
+            None => ring.route(origin, key, ledger),
+        };
+        let hops = ledger.hops() - hops_before;
+        t.routed_exchange(origin, dst, hops, kind, payload, 0, ledger)
+    })
 }
 
 #[cfg(test)]

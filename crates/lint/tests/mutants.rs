@@ -30,7 +30,7 @@ struct Mutant {
 const TOKEN_MUTANTS: &[Mutant] = &[
     Mutant {
         id: "M1 wall clock on the send path",
-        host: "crates/core/src/machine.rs",
+        host: "crates/core/src/count.rs",
         item: "fn mutant_clock() -> std::time::Instant { std::time::Instant::now() }",
         rule: "determinism",
     },
@@ -77,8 +77,8 @@ const TOKEN_MUTANTS: &[Mutant] = &[
 const FLOW_MUTANTS: &[Mutant] = &[
     Mutant {
         id: "M4b delivery result bound to `_`",
-        host: "crates/core/src/machine.rs",
-        item: "fn mutant_discard() { let _ = attempt_once(); }",
+        host: "crates/core/src/count.rs",
+        item: "fn mutant_discard() { let _ = routed_send(); }",
         rule: "dropped-result",
     },
     Mutant {

@@ -34,7 +34,8 @@ pub const OP_INSERT_BYTES: &str = "op.insert.bytes";
 pub const OP_BULK_INSERT: &str = "op.bulk_insert";
 /// Tuples actually shipped by bulk insertions (after dedup/elision).
 pub const OP_BULK_INSERT_TUPLES: &str = "op.bulk_insert.tuples";
-/// One count scan of one or more metrics, recorded by `ScanMachine::finish`.
+/// One count scan of one or more metrics, recorded at the end of the
+/// scan body (`Dhs::scan` in dhs-core).
 pub const OP_COUNT: &str = "op.count";
 /// Wire bytes charged by one count scan (histogram).
 pub const OP_COUNT_BYTES: &str = "op.count.bytes";
@@ -228,25 +229,11 @@ pub const ABL_SHARD_SPILL_LOSSLESS: &str = "ablation.shard.spill.lossless";
 pub const ABL_SHARD_EVICT_DETERMINISTIC: &str = "ablation.shard.evict.deterministic";
 
 // ---------------------------------------------------------------------
-// Parallel driver + out-of-order completion lab (dhs-par).
+// Parallel driver (dhs-par).
 // ---------------------------------------------------------------------
 
 /// Items ingested by the threaded saturation driver (all workers).
 pub const PAR_ITEMS: &str = "par.items";
-/// Chunks shipped over per-worker SPSC queues.
-pub const PAR_BATCHES: &str = "par.batches";
-/// Per-worker item counts (histogram over workers).
-pub const PAR_WORKER_ITEMS: &str = "par.worker.items";
-/// Per-worker virtual busy ticks (histogram over workers).
-pub const PAR_WORKER_BUSY_TICKS: &str = "par.worker.busy.ticks";
-/// Virtual ticks spent in the single-threaded fan-in merge.
-pub const PAR_MERGE_TICKS: &str = "par.merge.ticks";
-/// Worker count of the saturation run (gauge).
-pub const PAR_THREADS: &str = "par.threads";
-/// Completions the out-of-order lab delivered.
-pub const PAR_COMPLETIONS: &str = "par.completions";
-/// Completions delivered out of submission order.
-pub const PAR_REORDERED: &str = "par.reordered";
 
 /// Aggregate saturation throughput (inserts/s, gauge).
 pub const ABL_SAT_INSERTS: &str = "ablation.sat.inserts";
@@ -380,13 +367,6 @@ pub const ALL: &[&str] = &[
     ABL_SHARD_SPILL_LOSSLESS,
     ABL_SHARD_EVICT_DETERMINISTIC,
     PAR_ITEMS,
-    PAR_BATCHES,
-    PAR_WORKER_ITEMS,
-    PAR_WORKER_BUSY_TICKS,
-    PAR_MERGE_TICKS,
-    PAR_THREADS,
-    PAR_COMPLETIONS,
-    PAR_REORDERED,
     ABL_SAT_INSERTS,
     ABL_SAT_SPEEDUP,
     ABL_SAT_EFFICIENCY_PCT,

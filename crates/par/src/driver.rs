@@ -16,8 +16,7 @@
 //!   count;
 //! * each worker shuffles every received chunk with its own seeded RNG
 //!   before applying it, deliberately stressing the register layer's
-//!   order-insensitivity (max/bit-presence merges commute) the same
-//!   way the out-of-order lab stresses the protocol layer's.
+//!   order-insensitivity (max/bit-presence merges commute).
 //!
 //! Wall-clock speedup is *accounted*, not measured, in here: workers
 //! tally virtual busy ticks (one per update applied, one per key
@@ -152,12 +151,17 @@ struct WorkerOut {
 /// and return the deterministic fan-in report. `rng` drives the
 /// workload stream itself (item choice), exactly as in the
 /// single-threaded shard experiments; per-worker shuffle RNGs are
-/// seeded from `cfg.seed`.
+/// seeded from `cfg.seed`. A geometry no store accepts (`shards: 0`, an
+/// `m` that is not a power of two) is an `Err`, not a panic.
 pub fn run_saturation(
     cfg: &SatConfig,
     workload: &TenantWorkload,
     rng: &mut impl Rng,
 ) -> Result<SatReport, String> {
+    // Checked here, on the caller's thread: `ShardRouter::new` asserts on
+    // zero shards before any worker could report its own bad config.
+    ShardedStore::new(ShardConfig::new(cfg.shards, cfg.m))
+        .map_err(|e| format!("bad shard config: {e}"))?;
     let threads = cfg.threads.max(1);
     let router = ShardRouter::new(cfg.shards);
     let hasher = SplitMix64::default();

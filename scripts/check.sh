@@ -44,6 +44,20 @@ cargo test --workspace -q
 # The benchmark crate sits outside the workspace and most PRs may not edit
 # it: building it here is what notices a surface change that breaks it.
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+# What the merge pipeline will say, said here first: the benchmark's own
+# tests, then all four workloads untraced and traced at smoke scale. Each
+# run ends in one JSON summary line; an output check that did not hold
+# (exit 1) or a single failed operation refuses the PR.
+cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  run --quick --trace both > "$tmp/bench.out"
+grep '^{"correct"' "$tmp/bench.out" > "$tmp/bench.summaries"
+[ -s "$tmp/bench.summaries" ]
+if grep -v '"correct": true, "attempted": [0-9]*, "failed": 0,' "$tmp/bench.summaries"; then
+  echo "benchmark smoke: a run was incorrect or had failed operations" >&2
+  exit 1
+fi
+echo "benchmark smoke: $(wc -l < "$tmp/bench.summaries") runs correct, 0 failed operations"
 cargo build --workspace --examples
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
