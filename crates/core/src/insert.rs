@@ -16,8 +16,6 @@
 //! group with a single lookup, touching at most `k` nodes per round
 //! ([`Dhs::bulk_insert`]).
 
-use std::collections::BTreeMap;
-
 use rand::Rng;
 
 use dhs_dht::cost::CostLedger;
@@ -393,26 +391,29 @@ impl Dhs {
         ledger: &mut CostLedger,
     ) -> Vec<bool> {
         let cfg = &self.cfg;
-        // Pass 1: per-group `(routing_key, owner)`, drawn in caller
-        // (ascending-rank) order.
-        let placements: Vec<(u64, u64)> = groups
+        // Pass 1: per-group `(owner, group, routing_key)`, keys drawn in
+        // caller (ascending-rank) order. Sorting then lines the groups up
+        // by ascending owner, each owner's groups in caller order.
+        let mut placements: Vec<(u64, usize, u64)> = groups
             .iter()
-            .map(|&(rank, _)| {
+            .enumerate()
+            .map(|(group, &(rank, _))| {
                 let interval = interval_for_rank(cfg, rank);
                 let routing_key = rng.gen_range(interval.lo..=interval.hi);
-                (routing_key, ring.owner_of(routing_key))
+                (ring.owner_of(routing_key), group, routing_key)
             })
             .collect();
-        // Pass 2: one store chain per distinct owner.
-        let mut by_owner: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, &(_, owner)) in placements.iter().enumerate() {
-            by_owner.entry(owner).or_default().push(i);
-        }
+        placements.sort_unstable();
+        // Pass 2: one store chain per distinct owner, over its run of
+        // placements.
         let mut ok = vec![false; groups.len()];
-        for (&owner, members) in &by_owner {
-            let tuple_count: u64 = members.iter().map(|&i| groups[i].1.len() as u64).sum();
+        for members in placements.chunk_by(|a, b| a.0 == b.0) {
+            let (owner, _, routing_key) = members[0];
+            let tuple_count: u64 = members
+                .iter()
+                .map(|&(_, i, _)| groups[i].1.len() as u64)
+                .sum();
             let payload = u64::from(cfg.tuple_bytes) * tuple_count;
-            let routing_key = placements[members[0]].0;
             let route_span = start_span(transport, names::SPAN_ROUTE, tuple_count);
             let stored = routed_send(
                 &*ring,
@@ -436,18 +437,18 @@ impl Dhs {
             if lost {
                 continue;
             }
-            for &i in members {
+            for &(_, i, _) in members {
                 ok[i] = true;
             }
             let expires_at = ring.time().saturating_add(cfg.ttl);
             let store_span = start_span(transport, names::SPAN_STORE, tuple_count);
             // Store every member group's tuples at `holder`.
             let put_members = |ring: &mut O, holder: u64| {
-                for &i in members {
+                for &(_, i, routing_key) in members {
                     let record = StoredRecord {
                         expires_at,
                         size_bytes: cfg.tuple_bytes,
-                        routing_key: placements[i].0,
+                        routing_key,
                     };
                     for tuple in &groups[i].1 {
                         ring.put_at(holder, tuple.app_key(), record);

@@ -5,8 +5,14 @@
 //! the operation that incurs it. Experiments read ledgers; nothing is ever
 //! hand-computed, so the reported numbers are the simulated numbers by
 //! construction.
+//!
+//! Visits are counted in a `VisitTable`: an open-addressing table keyed
+//! by a fixed SplitMix64 mix of the node id, so a routing hop costs one
+//! probe instead of an ordered-tree insert. Node-id order is produced
+//! only where a reader needs it — [`CostLedger::visits`] sorts on the
+//! way out — and no report or digest reads the table's slot order.
 
-use std::collections::BTreeMap;
+use dhs_sketch::SplitMix64;
 
 /// Accumulates the cost of a (sequence of) distributed operation(s).
 #[derive(Debug, Clone, Default)]
@@ -21,9 +27,12 @@ pub struct CostLedger {
     /// partition — charged by simulated transports).
     dropped_messages: u64,
     /// Distinct-node visit counts: node id → number of times a message
-    /// was delivered to it. Ordered so that reports and snapshot digests
-    /// built by iterating it are byte-stable across runs.
-    visits: BTreeMap<u64, u64>,
+    /// was delivered to it.
+    visits: VisitTable,
+    /// Every `record_visit`, in call order: lets the crate's unit tests
+    /// check the order of a route's hops, which the counts do not show.
+    #[cfg(test)]
+    pub(crate) visit_log: Vec<u64>,
 }
 
 impl CostLedger {
@@ -59,17 +68,21 @@ impl CostLedger {
 
     /// Number of *distinct* nodes that received at least one message.
     pub fn nodes_visited(&self) -> usize {
-        self.visits.len()
+        self.visits.len
     }
 
     /// Visit count for a specific node (0 if never visited).
     pub fn visits_to(&self, node: u64) -> u64 {
-        self.visits.get(&node).copied().unwrap_or(0)
+        self.visits.get(node)
     }
 
-    /// All visit counts, in node-id order (deterministic iteration).
-    pub fn visits(&self) -> &BTreeMap<u64, u64> {
-        &self.visits
+    /// All `(node, count)` visit pairs in node-id order. The table keeps
+    /// no order of its own; each call sorts its live entries, so reports
+    /// and snapshot digests built by iterating this are byte-stable.
+    pub fn visits(&self) -> impl Iterator<Item = (&u64, &u64)> {
+        let mut entries: Vec<&(u64, u64)> = self.visits.entries().collect();
+        entries.sort_unstable_by_key(|&&(node, _)| node);
+        entries.into_iter().map(|(node, count)| (node, count))
     }
 
     /// Charge `n` routing hops.
@@ -101,7 +114,9 @@ impl CostLedger {
 
     /// Record a message delivery to `node`.
     pub fn record_visit(&mut self, node: u64) {
-        *self.visits.entry(node).or_insert(0) += 1;
+        self.visits.add(node, 1);
+        #[cfg(test)]
+        self.visit_log.push(node);
     }
 
     /// Fold another ledger into this one (for aggregating per-operation
@@ -112,14 +127,83 @@ impl CostLedger {
         self.bytes += other.bytes;
         self.latency_ticks += other.latency_ticks;
         self.dropped_messages += other.dropped_messages;
-        for (&node, &count) in &other.visits {
-            *self.visits.entry(node).or_insert(0) += count;
+        // Per-node sums do not depend on the order they are added in.
+        for &(node, count) in other.visits.entries() {
+            self.visits.add(node, count);
         }
     }
 
-    /// Load-balance summary over the visit counts.
+    /// Load-balance summary over the visit counts. Needs no node order:
+    /// [`LoadSummary::from_counts`] sorts the counts themselves.
     pub fn load_summary(&self) -> LoadSummary {
-        LoadSummary::from_counts(self.visits.values().copied())
+        LoadSummary::from_counts(self.visits.entries().map(|&(_, count)| count))
+    }
+}
+
+/// Per-node visit counts: linear probing over a power-of-two array of
+/// `(node, count)` slots, at most 3/4 full. A count of 0 marks an empty
+/// slot (every stored node has been visited at least once). The probe
+/// start is a fixed SplitMix64 finalizer of the node id — no per-process
+/// hash seed — so the layout is itself a pure function of the visits.
+#[derive(Debug, Clone, Default)]
+struct VisitTable {
+    slots: Vec<(u64, u64)>,
+    len: usize,
+}
+
+impl VisitTable {
+    /// Slot at which the probe for `node` starts.
+    fn home(&self, node: u64) -> usize {
+        // The mask keeps the value below the slot count, so it fits.
+        let mask = self.slots.len() as u64 - 1;
+        usize::try_from(SplitMix64::mix(node) & mask).unwrap_or_default()
+    }
+
+    /// The slot holding `node`, or the empty slot where it would go.
+    fn find(&self, node: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(node);
+        while self.slots[i].1 != 0 && self.slots[i].0 != node {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn get(&self, node: u64) -> u64 {
+        if self.slots.is_empty() {
+            return 0;
+        }
+        self.slots[self.find(node)].1
+    }
+
+    /// Add `count ≥ 1` visits to `node`.
+    fn add(&mut self, node: u64, count: u64) {
+        if 4 * (self.len + 1) > 3 * self.slots.len() {
+            self.grow();
+        }
+        let i = self.find(node);
+        let slot = &mut self.slots[i];
+        if slot.1 == 0 {
+            slot.0 = node;
+            self.len += 1;
+        }
+        slot.1 += count;
+    }
+
+    fn grow(&mut self) {
+        let capacity = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); capacity]);
+        for (node, count) in old {
+            if count != 0 {
+                let i = self.find(node);
+                self.slots[i] = (node, count);
+            }
+        }
+    }
+
+    /// The occupied slots, in table order.
+    fn entries(&self) -> impl Iterator<Item = &(u64, u64)> {
+        self.slots.iter().filter(|&&(_, count)| count != 0)
     }
 }
 

@@ -8,6 +8,19 @@
 //! Chord network whose finger tables are up to date — the regime the
 //! paper's evaluation assumes — without paying `O(N log N)` memory.
 //!
+//! A lookup walks in *slot space*: it keeps the index, in the sorted
+//! alive array, of the current node's successor link, so following that
+//! link is `slot + 1` (wrapping) and the finger search hands back the
+//! slot it landed on. A lookup pays one binary search for the owner, one
+//! for the start's successor link and one per finger tried; hops, visits
+//! and owners are those of the per-hop `succ_of` formulation, which this
+//! module's tests keep as an oracle (the hop order through a test-only
+//! visit log in `CostLedger`). `successor` itself, which the count path
+//! calls per probe, keeps its own `binary_search` body: written as a
+//! wrapper over `successor_slot` it moved the count path's `fetch_at` to
+//! a code address that cost ~15 % of `dhs-read`'s count rate (DESIGN.md,
+//! "Code placement moves count rates").
+//!
 //! A logical clock (`now`) drives the soft-state TTL semantics of the
 //! per-node stores.
 
@@ -139,6 +152,15 @@ impl Ring {
         }
     }
 
+    /// Slot in [`Self::alive_ids`] of [`Self::successor`]`(key)`.
+    fn successor_slot(&self, key: u64) -> usize {
+        match self.alive_ids.binary_search(&key) {
+            Ok(i) => i,
+            Err(i) if i == self.alive_ids.len() => 0,
+            Err(i) => i,
+        }
+    }
+
     /// The alive node immediately clockwise of `node` (its successor link).
     pub fn succ_of(&self, node: u64) -> u64 {
         self.successor(node.wrapping_add(1))
@@ -164,10 +186,19 @@ impl Ring {
     /// Route from node `from` to the owner of `key` with Chord greedy
     /// finger routing, charging one hop per routing step (and recording
     /// each intermediate delivery as a visit). Returns the owner.
+    ///
+    /// A `from` that is not alive (a crashed node, or any identifier)
+    /// routes from its position on the circle: its successor link is the
+    /// first alive node clockwise of it, and that node is the first hop
+    /// unless a finger goes further.
     pub fn route(&self, from: u64, key: u64, ledger: &mut CostLedger) -> u64 {
-        debug_assert!(self.is_alive(from), "routing must start at a live node");
+        let ids = &self.alive_ids;
         let owner = self.successor(key);
         let mut cur = from;
+        // Slot of `cur`'s successor link. The one search, from `from + 1`,
+        // is right whether or not `from` is alive; after a hop `cur` is the
+        // alive node at some slot `s`, whose successor is slot `s + 1`.
+        let mut succ_slot = self.successor_slot(from.wrapping_add(1));
         // Safety valve: greedy Chord terminates in ≤ 64 finger jumps.
         for _ in 0..128 {
             if cur == owner {
@@ -175,7 +206,7 @@ impl Ring {
             }
             // If the key falls between us and our successor, the successor
             // is the owner: final hop.
-            let succ = self.succ_of(cur);
+            let succ = ids[succ_slot];
             if cw_contains(cur, succ, key) {
                 ledger.charge_hops(1);
                 ledger.record_visit(succ);
@@ -184,18 +215,24 @@ impl Ring {
             // Closest preceding finger: the largest j with
             // successor(cur + 2^j) still strictly between us and the key.
             let dist = key.wrapping_sub(cur);
-            let mut next = succ; // fallback: always progresses
+            let mut next_slot = succ_slot; // fallback: always progresses
             let max_j = 63 - dist.leading_zeros().min(63);
             for j in (0..=max_j).rev() {
-                let finger = self.successor(cur.wrapping_add(1u64 << j));
+                let slot = self.successor_slot(cur.wrapping_add(1u64 << j));
+                let finger = ids[slot];
                 if finger != cur && cw_contains(cur, key.wrapping_sub(1), finger) {
-                    next = finger;
+                    next_slot = slot;
                     break;
                 }
             }
+            cur = ids[next_slot];
             ledger.charge_hops(1);
-            ledger.record_visit(next);
-            cur = next;
+            ledger.record_visit(cur);
+            succ_slot = if next_slot + 1 == ids.len() {
+                0
+            } else {
+                next_slot + 1
+            };
         }
         unreachable!("greedy Chord routing failed to converge");
     }
@@ -323,6 +360,7 @@ impl crate::overlay::Overlay for Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -475,5 +513,151 @@ mod tests {
             max_gap < mean_gap.saturating_mul(20),
             "max gap {max_gap} vs mean {mean_gap}"
         );
+    }
+
+    /// The element of `items` that `pick` selects (uniform enough for tests).
+    fn nth(items: &[u64], pick: u64) -> u64 {
+        items[usize::try_from(pick % items.len() as u64).unwrap()]
+    }
+
+    /// The per-hop formulation of greedy Chord routing that `route` must
+    /// reproduce: the successor link is a `succ_of` search and every
+    /// finger tried is a `successor(cur + 2^j)` search on identifiers.
+    /// Returns the owner and the nodes delivered to, in hop order.
+    fn oracle_route(r: &Ring, from: u64, key: u64) -> (u64, Vec<u64>) {
+        let owner = r.successor(key);
+        let mut cur = from;
+        let mut path = Vec::new();
+        for _ in 0..128 {
+            if cur == owner {
+                return (cur, path);
+            }
+            let succ = r.succ_of(cur);
+            if cw_contains(cur, succ, key) {
+                path.push(succ);
+                return (succ, path);
+            }
+            let dist = key.wrapping_sub(cur);
+            let mut next = succ;
+            let max_j = 63 - dist.leading_zeros().min(63);
+            for j in (0..=max_j).rev() {
+                let finger = r.successor(cur.wrapping_add(1u64 << j));
+                if finger != cur && cw_contains(cur, key.wrapping_sub(1), finger) {
+                    next = finger;
+                    break;
+                }
+            }
+            path.push(next);
+            cur = next;
+        }
+        panic!("oracle routing failed to converge");
+    }
+
+    /// The nodes `route` from `from` for `key` delivers to, in hop order.
+    fn route_path(r: &Ring, from: u64, key: u64) -> Vec<u64> {
+        let mut ledger = CostLedger::new();
+        r.route(from, key, &mut ledger);
+        ledger.visit_log
+    }
+
+    /// `route` from `from` agrees with the oracle on the owner, the hop
+    /// count and the in-order path.
+    fn assert_route_matches_oracle(r: &Ring, from: u64, key: u64) {
+        let (owner, path) = oracle_route(r, from, key);
+        let mut ledger = CostLedger::new();
+        assert_eq!(r.route(from, key, &mut ledger), owner);
+        assert_eq!(ledger.hops(), path.len() as u64);
+        assert_eq!(ledger.visit_log, path, "from {from:#x} key {key:#x}");
+    }
+
+    /// Apply `ops` as crash / leave / join / revive events (each keeps at
+    /// least one node alive); returns the identifiers no longer alive.
+    fn churn(r: &mut Ring, ops: &[(u8, u64)]) -> Vec<u64> {
+        let mut gone = Vec::new();
+        for &(kind, pick) in ops {
+            let alive = r.alive_ids();
+            let victim = nth(alive, pick);
+            match kind {
+                0 if alive.len() > 1 => {
+                    r.fail_node(victim);
+                    gone.push(victim);
+                }
+                1 if alive.len() > 1 => {
+                    r.graceful_leave(victim);
+                    gone.push(victim);
+                }
+                2 if r.store_of(pick).is_none() => r.join(pick),
+                3 if !gone.is_empty() => {
+                    let back = nth(&gone, pick);
+                    gone.retain(|&id| id != back);
+                    r.revive_node(back);
+                }
+                _ => {}
+            }
+        }
+        gone
+    }
+
+    proptest! {
+        /// Slot-space routing is the per-hop search formulation: same
+        /// owner, hops and path, from every alive start.
+        #[test]
+        fn route_matches_per_hop_oracle(seed in any::<u64>(), n in 1usize..300, keys in prop::collection::vec((any::<u64>(), any::<u64>()), 1..16)) {
+            let r = ring(n, seed);
+            for (pick, key) in keys {
+                let from = nth(r.alive_ids(), pick);
+                assert_route_matches_oracle(&r, from, key);
+                // Keys at and next to node ids exercise the ownership edges.
+                assert_route_matches_oracle(&r, from, from.wrapping_add(1));
+                assert_route_matches_oracle(&r, from, r.successor(key));
+            }
+        }
+
+        /// The same after crashes, leaves, joins and revivals, and also
+        /// from starts that are not alive: crashed or departed nodes and
+        /// arbitrary identifiers route from their position on the circle.
+        #[test]
+        fn route_matches_oracle_after_churn(seed in any::<u64>(), n in 2usize..120, ops in prop::collection::vec((0u8..4, any::<u64>()), 0..40), keys in prop::collection::vec((any::<u64>(), any::<u64>()), 1..12)) {
+            let mut r = ring(n, seed);
+            let gone = churn(&mut r, &ops);
+            for &id in r.alive_ids() {
+                prop_assert_eq!(r.pred_of(r.succ_of(id)), id);
+            }
+            for (pick, key) in keys {
+                let from = nth(r.alive_ids(), pick);
+                assert_route_matches_oracle(&r, from, key);
+                assert_route_matches_oracle(&r, pick, key);
+                for &dead in &gone {
+                    if !r.is_alive(dead) {
+                        assert_route_matches_oracle(&r, dead, key);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A crashed node that still routes does so from its identifier: its
+    /// successor link is the first alive node after it, so a key owned by
+    /// that node costs one hop to it — the node is not skipped.
+    #[test]
+    fn route_from_a_crashed_node_starts_at_its_successor_link() {
+        let mut r = ring(64, 21);
+        let ids = r.alive_ids().to_vec();
+        let (dead, next) = (ids[10], ids[11]);
+        r.fail_node(dead);
+        assert!(!r.is_alive(dead));
+        assert_eq!(route_path(&r, dead, next), vec![next]);
+        assert_eq!(
+            route_path(&r, dead, dead),
+            vec![next],
+            "its own id now belongs to the successor"
+        );
+        // Far keys match the per-hop formulation too.
+        for key in [ids[40], ids[9], ids[0].wrapping_sub(1), u64::MAX] {
+            assert_route_matches_oracle(&r, dead, key);
+        }
+        // An identifier that never was a node behaves the same way.
+        let between = ids[20] + (ids[21] - ids[20]) / 2;
+        assert_eq!(route_path(&r, between, ids[21]), vec![ids[21]]);
     }
 }

@@ -1,5 +1,7 @@
 //! Property-based tests for the DHT substrate.
 
+use std::collections::BTreeMap;
+
 use dhs_dht::cost::{CostLedger, LoadSummary};
 use dhs_dht::ring::{Ring, RingConfig};
 use dhs_dht::storage::StoredRecord;
@@ -51,6 +53,49 @@ proptest! {
         let owner = r.route(from, key, &mut ledger);
         prop_assert_eq!(owner, r.successor(key));
         prop_assert!(ledger.hops() <= 64, "hops {}", ledger.hops());
+    }
+
+    /// The visit table answers like an ordered map under any mix of
+    /// `record_visit` and `absorb`: id-ordered `visits()`, distinct
+    /// count, per-node counts and the load summary.
+    #[test]
+    fn ledger_visits_match_ordered_map_model(ops in prop::collection::vec((0u8..5, 0u64..48, any::<u64>()), 0..400)) {
+        let mut ledgers = [CostLedger::new(), CostLedger::new()];
+        let mut models: [BTreeMap<u64, u64>; 2] = [BTreeMap::new(), BTreeMap::new()];
+        for &(kind, small, big) in &ops {
+            let side = usize::from(kind & 1);
+            match kind {
+                // Dense small ids collide in the table; wide ids spread.
+                0 | 1 => {
+                    ledgers[side].record_visit(small);
+                    *models[side].entry(small).or_insert(0) += 1;
+                }
+                2 | 3 => {
+                    ledgers[side].record_visit(big);
+                    *models[side].entry(big).or_insert(0) += 1;
+                }
+                _ => {
+                    let other = ledgers[1].clone();
+                    ledgers[0].absorb(&other);
+                    for (&node, &count) in &models[1].clone() {
+                        *models[0].entry(node).or_insert(0) += count;
+                    }
+                }
+            }
+        }
+        for (ledger, model) in ledgers.iter().zip(&models) {
+            let got: Vec<(u64, u64)> = ledger.visits().map(|(&n, &c)| (n, c)).collect();
+            let want: Vec<(u64, u64)> = model.iter().map(|(&n, &c)| (n, c)).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(ledger.nodes_visited(), model.len());
+            for node in (0..48).chain(model.keys().copied()).chain([u64::MAX]) {
+                prop_assert_eq!(ledger.visits_to(node), model.get(&node).copied().unwrap_or(0));
+            }
+            prop_assert_eq!(
+                ledger.load_summary(),
+                LoadSummary::from_counts(model.values().copied())
+            );
+        }
     }
 
     /// Failing any (non-last) subset keeps succ/pred consistent over the
