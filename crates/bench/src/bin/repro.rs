@@ -19,7 +19,6 @@
 use std::env;
 use std::io::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use dhs_bench::experiments;
 use dhs_bench::provenance;
@@ -59,14 +58,10 @@ const DEFAULT_REGISTRY: &str = "registry/traj.csv";
 fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
     format!(
-        "usage: repro <experiment|all|bench|bench-shard|bench-sat> [--scale F] [--nodes N] \
-         [--seed S] [--trials T] [--m M] [--k K] [--quick] [--out FILE]\n\
+        "usage: repro <experiment|all> [--scale F] [--nodes N] \
+         [--seed S] [--trials T] [--m M] [--k K] [--quick]\n\
          \x20      repro ablate <plan>... [--gate] [--append] [--registry FILE]\n\
          \x20      repro traj [--plan NAME] [--kpi SUBSTR] [--registry FILE]\n\
-         bench: emit BENCH_dhs.json (baseline vs dhs-fast headline numbers)\n\
-         bench-shard: emit BENCH_shard.json (sharded-store memory/throughput)\n\
-         bench-sat: emit BENCH_sat.json (threaded-driver saturation sweep); \
-         --out overrides the output path\n\
          ablate: run ablation plans, print the deterministic report JSON; \
          --gate fails on KPI drift vs the registry baseline, --append records \
          rows into the registry (default {DEFAULT_REGISTRY})\n\
@@ -87,7 +82,6 @@ fn main() -> ExitCode {
     let which = args[0].clone();
     let mut exp = ExpConfig::default();
     let mut quick = false;
-    let mut out: Option<String> = None;
     let mut pos: Vec<String> = Vec::new();
     let mut registry_path = DEFAULT_REGISTRY.to_string();
     let mut append = false;
@@ -127,10 +121,6 @@ fn main() -> ExitCode {
                 Some(v) => exp.k = v,
                 None => return fail("--k needs an integer"),
             },
-            "--out" => match next(&mut i) {
-                Some(v) => out = Some(v),
-                None => return fail("--out needs a path"),
-            },
             "--registry" => match next(&mut i) {
                 Some(v) => registry_path = v,
                 None => return fail("--registry needs a path"),
@@ -165,22 +155,6 @@ fn main() -> ExitCode {
         );
     }
 
-    if which == "bench" || which == "bench-shard" || which == "bench-sat" {
-        let (json, default_path) = match which.as_str() {
-            "bench" => (experiments::fastpath_bench_json(&exp), "BENCH_dhs.json"),
-            "bench-shard" => (experiments::shard_bench_json(&exp), "BENCH_shard.json"),
-            _ => (experiments::saturation_bench_json(&exp), "BENCH_sat.json"),
-        };
-        let path = out.as_deref().unwrap_or(default_path);
-        print!("{json}");
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-        return ExitCode::SUCCESS;
-    }
-
     let selected: Vec<&Experiment> = if which == "all" {
         EXPERIMENTS.iter().collect()
     } else {
@@ -194,10 +168,8 @@ fn main() -> ExitCode {
     };
 
     for (name, run) in selected {
-        let start = Instant::now();
         println!("=== {name} ===");
-        println!("{}", run(&exp));
-        println!("[{name} took {:.1}s]\n", start.elapsed().as_secs_f64());
+        println!("{}\n", run(&exp));
     }
     ExitCode::SUCCESS
 }

@@ -15,7 +15,6 @@
 //! byte-identical registers and estimates.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use dhs_core::{Dhs, DhsConfig, EpochCache, ScanHint};
 use dhs_dht::cost::CostLedger;
@@ -66,7 +65,6 @@ struct LayerOut {
     messages: u64,
     hops: u64,
     kb: f64,
-    wall_s: f64,
     elide_hit_pct: f64,
     route_hit_pct: f64,
     ring: Ring,
@@ -88,7 +86,6 @@ fn run_layer(dhs: &Dhs, exp: &ExpConfig, accesses: &[u64], mode: Mode) -> LayerO
     let mut ledger = CostLedger::new();
     let mut cache = EpochCache::new(dhs.config());
     let chunk_len = accesses.len().div_ceil(EPOCHS);
-    let start = Instant::now();
 
     let (ring, route) = match mode {
         Mode::Baseline => {
@@ -170,7 +167,6 @@ fn run_layer(dhs: &Dhs, exp: &ExpConfig, accesses: &[u64], mode: Mode) -> LayerO
         messages: ledger.messages(),
         hops: ledger.hops(),
         kb: ledger.bytes() as f64 / 1024.0,
-        wall_s: start.elapsed().as_secs_f64(),
         elide_hit_pct: if probes == 0 {
             0.0
         } else {
@@ -407,21 +403,16 @@ pub fn fastpath(exp: &ExpConfig) -> String {
     out
 }
 
-/// Everything both the BENCH JSON view and the ablation KPI view need
-/// from one N3 measurement: the baseline and fully-stacked layers on the
-/// Zipf workload, the same-seed hinted-count comparison, and the
-/// equivalence verdict.
-struct FastpathMeasurement {
-    len: usize,
-    domain: usize,
-    base: LayerOut,
-    opt: LayerOut,
-    hint: HintRow,
-    equivalent: bool,
-}
-
-/// Run the N3 headline measurement once.
-fn measure_fastpath(exp: &ExpConfig) -> FastpathMeasurement {
+/// N3's deterministic KPIs as `ablation.*` metrics for the dhs-traj
+/// harness, from the baseline and fully-stacked layers on the Zipf
+/// workload, the same-seed hinted-count comparison, and the equivalence
+/// verdict: counter totals for messages/hops/accesses and fixed-point
+/// milli-unit gauges for the fractional per-count measurements. No
+/// wall-clock quantity is recorded, so two same-seed runs produce
+/// digest-identical registries.
+#[allow(clippy::cast_possible_truncation)]
+pub fn fastpath_kpi_metrics(exp: &ExpConfig) -> dhs_obs::MetricsRegistry {
+    use dhs_obs::names;
     let dhs = Dhs::new(exp.dhs_config()).expect("valid config");
     let domain = ((exp.scale * 100_000.0).round() as usize).max(1_000);
     let len = 4 * domain;
@@ -433,96 +424,21 @@ fn measure_fastpath(exp: &ExpConfig) -> FastpathMeasurement {
         && stored_set(&base.ring) == stored_set(&opt.ring)
         && exhaustive_estimate(&dhs, exp, &base.ring).to_bits()
             == exhaustive_estimate(&dhs, exp, &opt.ring).to_bits();
-    FastpathMeasurement {
-        len,
-        domain,
-        base,
-        opt,
-        hint,
-        equivalent,
-    }
-}
-
-fn fastpath_config_digest(exp: &ExpConfig, mm: &FastpathMeasurement) -> String {
-    crate::provenance::config_digest(&[
-        ("experiment", "n3-fastpath".to_string()),
-        ("nodes", nodes(exp).to_string()),
-        ("m", exp.m.to_string()),
-        ("k", exp.k.to_string()),
-        ("accesses", mm.len.to_string()),
-        ("distinct", mm.domain.to_string()),
-        ("epochs", EPOCHS.to_string()),
-        ("trials", exp.trials.to_string()),
-        ("seed", exp.seed.to_string()),
-    ])
-}
-
-/// N3's deterministic KPIs as `ablation.*` metrics for the dhs-traj
-/// harness: counter totals for messages/hops/accesses and fixed-point
-/// milli-unit gauges for the fractional per-count measurements. No
-/// wall-clock quantity is recorded, so two same-seed runs produce
-/// digest-identical registries.
-#[allow(clippy::cast_possible_truncation)]
-pub fn fastpath_kpi_metrics(exp: &ExpConfig) -> dhs_obs::MetricsRegistry {
-    use dhs_obs::names;
-    let mm = measure_fastpath(exp);
     let milli = |x: f64| (x.max(0.0) * 1000.0).round() as u64;
     let mut m = dhs_obs::MetricsRegistry::new();
-    m.incr(names::ABL_MESSAGES_BASELINE, mm.base.messages);
-    m.incr(names::ABL_MESSAGES_OPTIMIZED, mm.opt.messages);
-    m.incr(names::ABL_HOPS_BASELINE, mm.base.hops);
-    m.incr(names::ABL_HOPS_OPTIMIZED, mm.opt.hops);
-    m.incr(names::ABL_ACCESSES, mm.len as u64);
+    m.incr(names::ABL_MESSAGES_BASELINE, base.messages);
+    m.incr(names::ABL_MESSAGES_OPTIMIZED, opt.messages);
+    m.incr(names::ABL_HOPS_BASELINE, base.hops);
+    m.incr(names::ABL_HOPS_OPTIMIZED, opt.hops);
+    m.incr(names::ABL_ACCESSES, len as u64);
     m.incr(names::ABL_EPOCHS, EPOCHS as u64);
-    m.gauge_set(names::ABL_COUNT_BYTES_FULL, milli(mm.hint.kb_full * 1024.0));
+    m.gauge_set(names::ABL_COUNT_BYTES_FULL, milli(hint.kb_full * 1024.0));
     m.gauge_set(
         names::ABL_COUNT_BYTES_HINTED,
-        milli(mm.hint.kb_hinted * 1024.0),
+        milli(hint.kb_hinted * 1024.0),
     );
-    m.gauge_set(names::ABL_INTERVALS_FULL, milli(mm.hint.scanned_full));
-    m.gauge_set(names::ABL_INTERVALS_HINTED, milli(mm.hint.scanned_hinted));
-    m.gauge_set(names::ABL_EQUIVALENT, u64::from(mm.equivalent));
+    m.gauge_set(names::ABL_INTERVALS_FULL, milli(hint.scanned_full));
+    m.gauge_set(names::ABL_INTERVALS_HINTED, milli(hint.scanned_hinted));
+    m.gauge_set(names::ABL_EQUIVALENT, u64::from(equivalent));
     m
-}
-
-/// The `repro bench` payload: headline baseline/optimized numbers as a
-/// JSON object (written to `BENCH_dhs.json` so future PRs can diff).
-pub fn fastpath_bench_json(exp: &ExpConfig) -> String {
-    let mm = measure_fastpath(exp);
-    let len = mm.len;
-
-    let side = |layer: &LayerOut, scanned: f64, kb_count: f64| {
-        format!(
-            "{{\n    \"hops_per_insert\": {:.4},\n    \"messages_per_epoch\": {:.1},\n    \
-             \"bytes_per_count\": {:.1},\n    \"intervals_scanned\": {:.1},\n    \
-             \"wall_clock_s\": {:.4}\n  }}",
-            layer.hops as f64 / len as f64,
-            layer.messages as f64 / EPOCHS as f64,
-            kb_count * 1024.0,
-            scanned,
-            layer.wall_s
-        )
-    };
-    format!(
-        "{{\n  \"experiment\": \"dhs-fast N3 (Zipf 0.7)\",\n  \"config\": {{\n    \
-         \"nodes\": {},\n    \"m\": {},\n    \"k\": {},\n    \"accesses\": {},\n    \
-         \"distinct\": {},\n    \"epochs\": {},\n    \"seed\": {}\n  }},\n  \
-         \"provenance\": {},\n  \
-         \"baseline\": {},\n  \"optimized\": {},\n  \
-         \"message_reduction_pct\": {:.1},\n  \"hop_reduction_pct\": {:.1},\n  \
-         \"estimates_identical\": {}\n}}\n",
-        nodes(exp),
-        exp.m,
-        exp.k,
-        len,
-        mm.domain,
-        EPOCHS,
-        exp.seed,
-        crate::provenance::provenance_json(exp.seed, &fastpath_config_digest(exp, &mm)),
-        side(&mm.base, mm.hint.scanned_full, mm.hint.kb_full),
-        side(&mm.opt, mm.hint.scanned_hinted, mm.hint.kb_hinted),
-        reduction_pct(mm.base.messages, mm.opt.messages),
-        reduction_pct(mm.base.hops, mm.opt.hops),
-        mm.equivalent
-    )
 }

@@ -22,16 +22,16 @@ pub use ablations::{
 };
 pub use accuracy::accuracy;
 pub use baselines_cmp::baselines;
-pub use fastpath::{fastpath, fastpath_bench_json};
+pub use fastpath::fastpath;
 pub use geometry::geometry;
 pub use hist::{hist_accuracy, table3};
 pub use insertion_costs::insertion;
 pub use load_balance::load_balance;
 pub use network::network;
 pub use queryopt::queryopt;
-pub use saturation::{saturation, saturation_bench_json};
+pub use saturation::saturation;
 pub use scalability_exp::scalability;
-pub use shard_exp::{shard, shard_bench_json};
+pub use shard_exp::shard;
 pub use table2_exp::table2;
 pub use trajectory::{
     ablation_plans, n3_fastpath_plan, n4_shard_plan, n6_saturation_plan, smoke_fastpath_plan,

@@ -10,7 +10,6 @@
 //! * **compression** — mean payload bytes per resident sketch vs the
 //!   dense `m`-byte baseline, plus the tier census the Zipf mix settles
 //!   into (sparse tails, packed middle, dense head);
-//! * **throughput** — sustained inserts per second, total and per shard;
 //! * **transparency** — the 8-shard store's registers and estimates must
 //!   be byte-identical to a single-shard store fed the same stream;
 //! * **eviction determinism** — under a budget of half the unbudgeted
@@ -18,11 +17,9 @@
 //!   lossless cold tier must leave every estimate bit-identical to the
 //!   unbudgeted run.
 //!
-//! `DHS_SHARD_METRICS` overrides the metric count so CI can run the same
-//! code paths at a fraction of the scale; the default derives from
-//! `--scale` (0.1 ⇒ the paper-scale 10⁶-metric run).
-
-use std::time::Instant;
+//! It ends with a state digest folding routing, tier promotions, every
+//! estimate and the eviction order. `--scale` sizes the run: metrics =
+//! scale × 10⁷ (0.1 ⇒ the paper-scale 10⁶-metric run).
 
 use dhs_obs::{Fnv1a, NoopRecorder};
 use dhs_shard::{MemoryColdTier, ShardConfig, ShardStats, ShardedStore, SketchKey, SLOT_OVERHEAD};
@@ -39,9 +36,8 @@ const SHARDS: usize = 8;
 const M: usize = 64;
 
 /// The workload shape for `metrics` total metrics (clamped to ≥ 64).
-/// Metrics land on tenants 1 000 at a time. (Shared with N6, which
-/// saturates the same workload through the threaded driver.)
-pub(crate) fn shard_workload_sized(metrics: u64) -> TenantWorkload {
+/// Metrics land on tenants 1 000 at a time.
+fn shard_workload_sized(metrics: u64) -> TenantWorkload {
     let goal = metrics.max(64);
     let (tenants, metrics_per_tenant) = if goal >= 1_000 {
         ((goal / 1_000).min(1 << 16) as u32, 1_000u32)
@@ -57,32 +53,24 @@ pub(crate) fn shard_workload_sized(metrics: u64) -> TenantWorkload {
     }
 }
 
-/// The default workload: `DHS_SHARD_METRICS` (env) pins the metric
-/// count; otherwise `scale × 10⁷`, so the default `--scale 0.1` is the
-/// full 10⁶-metric run. An explicit `metrics` (from an ablation plan
-/// parameter) takes precedence over both.
+/// The workload: `scale × 10⁷` metrics, so the default `--scale 0.1` is
+/// the full 10⁶-metric run. An explicit `metrics` (from an ablation plan
+/// parameter) takes precedence. (Shared with N6, which saturates the
+/// same workload through the threaded driver.)
 #[allow(clippy::cast_possible_truncation)]
-fn shard_workload(exp: &ExpConfig, metrics: Option<u64>) -> TenantWorkload {
-    let goal = metrics
-        .or_else(|| {
-            std::env::var("DHS_SHARD_METRICS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-        })
-        .unwrap_or_else(|| (exp.scale * 1e7).round() as u64);
-    shard_workload_sized(goal)
+pub(crate) fn shard_workload(exp: &ExpConfig, metrics: Option<u64>) -> TenantWorkload {
+    shard_workload_sized(metrics.unwrap_or_else(|| (exp.scale * 1e7).round() as u64))
 }
 
 /// One pass of the workload through a store (any budget/cold-tier
-/// configuration), with wall-clock timing.
+/// configuration).
 fn run_stream<C: dhs_shard::ColdTier>(
     w: &TenantWorkload,
     exp: &ExpConfig,
     mut store: ShardedStore<C>,
-) -> (ShardedStore<C>, f64) {
+) -> ShardedStore<C> {
     let hasher = SplitMix64::default();
     let mut rec = NoopRecorder;
-    let start = Instant::now();
     w.visit(&mut exp.rng(0x5AAD_0002), |u| {
         store.observe_item(
             SketchKey::new(u.tenant, u.metric),
@@ -90,8 +78,7 @@ fn run_stream<C: dhs_shard::ColdTier>(
             &mut rec,
         );
     });
-    let wall_s = start.elapsed().as_secs_f64();
-    (store, wall_s)
+    store
 }
 
 /// Aggregates over per-shard stats.
@@ -133,15 +120,12 @@ fn totals(stats: &[ShardStats]) -> Totals {
     t
 }
 
-/// Everything both the table view and the JSON view report.
+/// Everything both the table view and the KPI view report.
 struct ShardReport {
     workload: TenantWorkload,
     sharded_stats: Vec<ShardStats>,
-    wall_s: f64,
     /// Registers and estimates identical to a single-shard store.
     transparent: bool,
-    /// FNV over every (key, estimate-bits) pair of the sharded store.
-    estimate_digest: u64,
     /// Budget used in the eviction phase (bytes, per shard).
     budget: u64,
     evict_stats: Vec<ShardStats>,
@@ -150,19 +134,20 @@ struct ShardReport {
     evict_deterministic: bool,
     /// Budgeted + lossless cold tier estimates == unbudgeted estimates.
     spill_lossless: bool,
-    /// Deterministic fingerprint of the whole run (no wall-clock).
+    /// Fingerprint of the whole run: per-shard stats, every estimate
+    /// and the eviction order.
     state_digest: u64,
 }
 
-/// Run every phase once; both output formats render from this. `metrics`
-/// (when given, e.g. from an ablation-plan factor) overrides the
-/// workload size ahead of `DHS_SHARD_METRICS` and `--scale`.
+/// Run every phase once; both views render from this. `metrics` (when
+/// given, e.g. from an ablation-plan factor) overrides the workload size
+/// `--scale` sets.
 fn run_report(exp: &ExpConfig, metrics: Option<u64>) -> ShardReport {
     let w = shard_workload(exp, metrics);
     let mut rec = NoopRecorder;
 
     // Phase A: the sharded store, unlimited budget.
-    let (mut sharded, wall_s) = run_stream(
+    let mut sharded = run_stream(
         &w,
         exp,
         ShardedStore::new(ShardConfig::new(SHARDS, M)).expect("valid config"),
@@ -170,7 +155,7 @@ fn run_report(exp: &ExpConfig, metrics: Option<u64>) -> ShardReport {
     let sharded_stats = sharded.stats();
 
     // Phase B: single-shard reference — sharding must be placement only.
-    let (mut single, _) = run_stream(
+    let mut single = run_stream(
         &w,
         exp,
         ShardedStore::new(ShardConfig::new(1, M)).expect("valid config"),
@@ -200,12 +185,12 @@ fn run_report(exp: &ExpConfig, metrics: Option<u64>) -> ShardReport {
         .unwrap_or(0);
     let budget = (peak_per_shard / 2).max(4 * SLOT_OVERHEAD);
     let cfg = ShardConfig::new(SHARDS, M).with_budget(budget);
-    let (mut budgeted_a, _) = run_stream(
+    let mut budgeted_a = run_stream(
         &w,
         exp,
         ShardedStore::with_cold_tier(cfg, MemoryColdTier::new()).unwrap(),
     );
-    let (budgeted_b, _) = run_stream(
+    let budgeted_b = run_stream(
         &w,
         exp,
         ShardedStore::with_cold_tier(cfg, MemoryColdTier::new()).unwrap(),
@@ -225,7 +210,7 @@ fn run_report(exp: &ExpConfig, metrics: Option<u64>) -> ShardReport {
     let evict_stats = budgeted_a.stats();
     let evict_digest = budgeted_a.eviction_digest();
 
-    // A wall-clock-free fingerprint check.sh compares across two runs.
+    // One fingerprint of everything above, printed for cross-run diffs.
     let mut state = Fnv1a::new();
     for s in &sharded_stats {
         state.update(&(s.resident as u64).to_le_bytes());
@@ -241,9 +226,7 @@ fn run_report(exp: &ExpConfig, metrics: Option<u64>) -> ShardReport {
     ShardReport {
         workload: w,
         sharded_stats,
-        wall_s,
         transparent,
-        estimate_digest: est_digest.finish(),
         budget,
         evict_stats,
         evict_digest,
@@ -257,7 +240,7 @@ fn run_report(exp: &ExpConfig, metrics: Option<u64>) -> ShardReport {
 /// dhs-traj harness: resident/insert/eviction/recovery totals as
 /// counters and gauges, the fractional payload-bytes-per-sketch as a
 /// fixed-point milli-unit gauge, and the three equivalence verdicts as
-/// 0/1 gauges. Throughput (wall-clock) is deliberately absent.
+/// 0/1 gauges.
 #[allow(clippy::cast_possible_truncation)]
 pub fn shard_kpi_metrics(exp: &ExpConfig, metrics: Option<u64>) -> dhs_obs::MetricsRegistry {
     use dhs_obs::names;
@@ -292,7 +275,7 @@ fn payload_per_sketch(t: &Totals) -> f64 {
     (t.bytes - t.resident * SLOT_OVERHEAD) as f64 / t.resident as f64
 }
 
-/// N4 — sharded multi-tenant store: compression, throughput, and
+/// N4 — sharded multi-tenant store: compression, per-shard load, and
 /// transparency/eviction equivalence checks.
 pub fn shard(exp: &ExpConfig) -> String {
     let r = run_report(exp, None);
@@ -320,7 +303,6 @@ pub fn shard(exp: &ExpConfig) -> String {
         "inserts",
         "→packed",
         "→dense",
-        "ins/s",
     ]);
     for (i, s) in r.sharded_stats.iter().enumerate() {
         table.row(vec![
@@ -331,7 +313,6 @@ pub fn shard(exp: &ExpConfig) -> String {
             s.inserts.to_string(),
             s.promotions_packed.to_string(),
             s.promotions_dense.to_string(),
-            f(s.inserts as f64 / r.wall_s.max(1e-9), 0),
         ]);
     }
     out.push_str(&format!("per shard (unbudgeted):\n{}\n", table.render()));
@@ -344,27 +325,25 @@ pub fn shard(exp: &ExpConfig) -> String {
     out.push_str(&format!(
         "tier census: {sparse} sparse, {packed} packed, {dense} dense of {} resident\n\
          memory: {:.1} payload B/sketch vs {M} B dense baseline ({:.1}% of dense), \
-         {:.2} MB total (peak {:.2} MB incl. {}-B slot overhead)\n\
-         throughput: {:.0} inserts/s total, {:.0} per shard ({:.2} s wall)\n\n",
+         {:.2} MB total (peak {:.2} MB incl. {}-B slot overhead)\n\n",
         t.resident,
         payload_per_sketch(&t),
         100.0 * payload_per_sketch(&t) / M as f64,
         t.bytes as f64 / (1024.0 * 1024.0),
         t.peak_bytes as f64 / (1024.0 * 1024.0),
         SLOT_OVERHEAD,
-        t.inserts as f64 / r.wall_s.max(1e-9),
-        t.inserts as f64 / r.wall_s.max(1e-9) / SHARDS as f64,
-        r.wall_s,
     ));
 
     out.push_str(&format!(
         "budgeted ({} B/shard, lossless cold tier): {} evictions, {:.2} MB spilled, \
-         {} recoveries, eviction digest {:#018x}\n\n",
+         {} recoveries, eviction digest {:#018x}\n\n\
+         state digest {:#018x} (per-shard stats, every estimate, eviction order)\n\n",
         r.budget,
         te.evictions,
         te.spilled_bytes as f64 / (1024.0 * 1024.0),
         te.recoveries,
         r.evict_digest,
+        r.state_digest,
     ));
 
     out.push_str(&format!(
@@ -388,90 +367,21 @@ pub fn shard(exp: &ExpConfig) -> String {
     out
 }
 
-/// The `repro bench-shard` payload: headline memory/throughput numbers as
-/// a JSON object (written to `BENCH_shard.json` so future PRs can diff;
-/// `state_digest` is wall-clock-free, so two same-seed runs emit files
-/// that differ only in timing fields).
-pub fn shard_bench_json(exp: &ExpConfig) -> String {
-    let r = run_report(exp, None);
-    let w = &r.workload;
-    let t = totals(&r.sharded_stats);
-    let te = totals(&r.evict_stats);
-    let per_shard: Vec<String> = r
-        .sharded_stats
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            format!(
-                "    {{\"shard\": {i}, \"resident\": {}, \"bytes\": {}, \"peak_bytes\": {}, \
-                 \"inserts\": {}, \"inserts_per_s\": {:.0}}}",
-                s.resident,
-                s.bytes,
-                s.peak_bytes,
-                s.inserts,
-                s.inserts as f64 / r.wall_s.max(1e-9),
-            )
-        })
-        .collect();
-    let dense = t.promotions_dense;
-    let packed = t.promotions_packed - dense;
-    let sparse = t.resident - t.promotions_packed;
-    let config_digest = crate::provenance::config_digest(&[
-        ("experiment", "n4-shard".to_string()),
-        ("metrics", w.total_metrics().to_string()),
-        ("tenants", w.tenants.to_string()),
-        ("metrics_per_tenant", w.metrics_per_tenant.to_string()),
-        ("updates", w.total_updates().to_string()),
-        ("shards", SHARDS.to_string()),
-        ("m", M.to_string()),
-        ("theta", w.theta.to_string()),
-        ("seed", exp.seed.to_string()),
-    ]);
-    format!(
-        "{{\n  \"experiment\": \"dhs-shard N4 (multi-tenant tiered store)\",\n  \
-         \"config\": {{\n    \"metrics\": {},\n    \"tenants\": {},\n    \
-         \"metrics_per_tenant\": {},\n    \"updates\": {},\n    \"shards\": {SHARDS},\n    \
-         \"m\": {M},\n    \"theta\": {},\n    \"seed\": {}\n  }},\n  \
-         \"provenance\": {},\n  \
-         \"memory\": {{\n    \"resident_sketches\": {},\n    \
-         \"payload_bytes_per_sketch\": {:.2},\n    \"dense_baseline_bytes_per_sketch\": {M},\n    \
-         \"payload_vs_dense_pct\": {:.1},\n    \"total_bytes\": {},\n    \
-         \"peak_bytes\": {},\n    \"slot_overhead_bytes\": {SLOT_OVERHEAD},\n    \
-         \"tier_census\": {{\"sparse\": {sparse}, \"packed\": {packed}, \"dense\": {dense}}}\n  }},\n  \
-         \"throughput\": {{\n    \"wall_s\": {:.3},\n    \"inserts_per_s\": {:.0},\n    \
-         \"per_shard_inserts_per_s\": {:.0}\n  }},\n  \
-         \"per_shard\": [\n{}\n  ],\n  \
-         \"eviction\": {{\n    \"budget_bytes_per_shard\": {},\n    \"evictions\": {},\n    \
-         \"spilled_bytes\": {},\n    \"recoveries\": {},\n    \
-         \"digest\": \"{:#018x}\",\n    \"two_runs_identical\": {}\n  }},\n  \
-         \"sharded_equals_single_shard\": {},\n  \
-         \"lossless_spill_preserves_estimates\": {},\n  \
-         \"estimate_digest\": \"{:#018x}\",\n  \"state_digest\": \"{:#018x}\"\n}}\n",
-        w.total_metrics(),
-        w.tenants,
-        w.metrics_per_tenant,
-        w.total_updates(),
-        w.theta,
-        exp.seed,
-        crate::provenance::provenance_json(exp.seed, &config_digest),
-        t.resident,
-        payload_per_sketch(&t),
-        100.0 * payload_per_sketch(&t) / M as f64,
-        t.bytes,
-        t.peak_bytes,
-        r.wall_s,
-        t.inserts as f64 / r.wall_s.max(1e-9),
-        t.inserts as f64 / r.wall_s.max(1e-9) / SHARDS as f64,
-        per_shard.join(",\n"),
-        r.budget,
-        te.evictions,
-        te.spilled_bytes,
-        te.recoveries,
-        r.evict_digest,
-        r.evict_deterministic,
-        r.transparent,
-        r.spill_lossless,
-        r.estimate_digest,
-        r.state_digest,
-    )
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// No clock reaches the report: two runs print the same text, every
+    /// acceptance line passes, and the state digest is there to diff.
+    #[test]
+    fn report_is_reproducible_and_passes() {
+        let exp = ExpConfig {
+            scale: 0.0001, // 1 000 metrics
+            ..ExpConfig::default()
+        };
+        let a = shard(&exp);
+        assert_eq!(a, shard(&exp));
+        assert!(!a.contains("FAIL"), "{a}");
+        assert!(a.contains("\nstate digest 0x"), "{a}");
+    }
 }

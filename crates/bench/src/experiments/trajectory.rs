@@ -4,15 +4,15 @@
 //! concrete N3/N4 measurements: a [`BenchRunner`] that applies a job's
 //! parameters onto the CLI's [`ExpConfig`] and returns the measurement's
 //! `ablation.*` metric registry, plus the four committed plans —
-//! `n3-fastpath` and `n4-shard` (the full BENCH configurations, run by
+//! `n3-fastpath` and `n4-shard` (the full configurations, run by
 //! `scripts/bench.sh` and appended to `registry/traj.csv`) and their
 //! `smoke-*` counterparts (minutes-to-milliseconds scaled, run twice by
 //! `scripts/check.sh` for the byte-identity and KPI-gate checks).
 //!
 //! The m = 512 job of `n3-fastpath` and the metrics = 10⁶ job of
-//! `n4-shard` are exactly the configurations behind the committed
-//! `BENCH_dhs.json` / `BENCH_shard.json`, so the registry rows and the
-//! BENCH files are two views of one measurement.
+//! `n4-shard` are exactly the default configurations of `repro
+//! fastpath` / `repro shard`, so the registry rows and those tables are
+//! two views of one measurement.
 
 use dhs_obs::{MetricsRegistry, Observer};
 use dhs_traj::{
@@ -274,8 +274,8 @@ fn with_saturation_kpis(plan: AblationPlan, min_efficiency: f64) -> AblationPlan
     )
 }
 
-/// The full N3 plan: bitmap-count sweep at the BENCH configuration. The
-/// m = 512 job is the committed `BENCH_dhs.json` measurement.
+/// The full N3 plan: bitmap-count sweep at the default configuration.
+/// The m = 512 job is the `repro fastpath` measurement.
 pub fn n3_fastpath_plan() -> AblationPlan {
     with_fastpath_kpis(
         AblationPlan::grid("n3-fastpath")
@@ -289,7 +289,7 @@ pub fn n3_fastpath_plan() -> AblationPlan {
 }
 
 /// The full N4 plan: workload-size sweep. The metrics = 10⁶ job is the
-/// committed `BENCH_shard.json` measurement.
+/// `repro shard` measurement.
 pub fn n4_shard_plan() -> AblationPlan {
     with_shard_kpis(AblationPlan::grid("n4-shard").factor(
         "metrics",
@@ -298,9 +298,7 @@ pub fn n4_shard_plan() -> AblationPlan {
 }
 
 /// The full N6 plan: thread-count sweep over the N4 million-metric
-/// workload. The threads = 4 job pairs with the committed
-/// `BENCH_sat.json` measurement (the JSON adds the wall-clock view the
-/// registry deliberately omits).
+/// workload: the four jobs are the four rows of `repro saturation`.
 pub fn n6_saturation_plan() -> AblationPlan {
     with_saturation_kpis(
         AblationPlan::grid("n6-saturation")
@@ -435,23 +433,14 @@ pub fn trajectory(exp: &ExpConfig) -> String {
 mod tests {
     use super::*;
 
-    /// Pull `"name": <number>` out of a BENCH JSON string (first match).
-    fn json_num(json: &str, name: &str) -> f64 {
-        let pat = format!("\"{name}\": ");
-        let start = json.find(&pat).expect(name) + pat.len();
-        let rest = &json[start..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().expect(name)
-    }
-
-    /// The registry rows and the BENCH JSON must be two views of one
-    /// measurement: extract the smoke-scale KPIs both ways and compare
-    /// at the JSON's printed precision.
+    /// The registry rows and `repro fastpath` must be two views of one
+    /// measurement: the KPI counters equal the Zipf table's baseline and
+    /// fully-stacked message/hop columns, and the equivalence gauge
+    /// matches the printed verdict.
     #[test]
-    fn kpi_metrics_agree_with_bench_json() {
-        let mut exp = ExpConfig {
+    fn kpi_metrics_agree_with_fastpath_table() {
+        use dhs_obs::names;
+        let exp = ExpConfig {
             nodes: 32,
             scale: 0.01,
             trials: 2,
@@ -459,30 +448,29 @@ mod tests {
             k: 20,
             ..ExpConfig::default()
         };
-        exp.seed = 42;
-        let json = super::super::fastpath::fastpath_bench_json(&exp);
+        let table = super::super::fastpath::fastpath(&exp);
         let metrics = super::super::fastpath::fastpath_kpi_metrics(&exp);
-        let red = dhs_traj::extract_kpi(
-            &metrics,
-            &KpiSource::ReductionPct {
-                base: dhs_obs::names::ABL_MESSAGES_BASELINE.to_string(),
-                opt: dhs_obs::names::ABL_MESSAGES_OPTIMIZED.to_string(),
-            },
-        )
-        .unwrap();
-        assert!((red - json_num(&json, "message_reduction_pct")).abs() < 0.05 + 1e-9);
-        let msgs = dhs_traj::extract_kpi(
-            &metrics,
-            &KpiSource::PerUnit {
-                num: dhs_obs::names::ABL_MESSAGES_BASELINE.to_string(),
-                den: dhs_obs::names::ABL_EPOCHS.to_string(),
-            },
-        )
-        .unwrap();
-        assert!((msgs - json_num(&json, "messages_per_epoch")).abs() < 0.05 + 1e-9);
+        // First Zipf-table row whose layer name is `layer`: its
+        // (messages, hops) columns.
+        let row = |layer: &str| -> (u64, u64) {
+            let cols: Vec<&str> = table
+                .lines()
+                .map(str::split_whitespace)
+                .map(Iterator::collect)
+                .find(|c: &Vec<&str>| c.first() == Some(&layer))
+                .expect(layer);
+            (cols[1].parse().unwrap(), cols[3].parse().unwrap())
+        };
+        let (base_msgs, base_hops) = row("baseline");
+        let (opt_msgs, opt_hops) = row("+batching");
+        assert_eq!(metrics.counter(names::ABL_MESSAGES_BASELINE), base_msgs);
+        assert_eq!(metrics.counter(names::ABL_HOPS_BASELINE), base_hops);
+        assert_eq!(metrics.counter(names::ABL_MESSAGES_OPTIMIZED), opt_msgs);
+        assert_eq!(metrics.counter(names::ABL_HOPS_OPTIMIZED), opt_hops);
+        let equivalent = table.contains("across all layers and hinted scans: PASS");
         assert_eq!(
-            metrics.gauge(dhs_obs::names::ABL_EQUIVALENT),
-            Some(u64::from(json.contains("\"estimates_identical\": true")))
+            metrics.gauge(names::ABL_EQUIVALENT),
+            Some(u64::from(equivalent))
         );
     }
 

@@ -2,7 +2,8 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§5) plus
 //! the ablations DESIGN.md calls out. The `repro` binary drives the
-//! experiments; Criterion micro-benches live in `benches/`.
+//! experiments; it reads no clock, so its output is a pure function of
+//! its arguments (wall-clock speed is the `benchmark/` crate's job).
 //!
 //! Experiment ids (see DESIGN.md §3 for the full index):
 //!

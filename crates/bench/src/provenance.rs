@@ -1,13 +1,9 @@
-//! Shared provenance stamping for benchmark artifacts.
+//! Provenance stamps for trajectory-registry rows.
 //!
-//! Every committed artifact (BENCH_dhs.json, BENCH_shard.json, registry
-//! rows) carries the same four-field stamp: the master seed, an FNV
-//! digest of the exact configuration that produced the numbers, the VCS
-//! commit (from `DHS_COMMIT` — scripts export it; `unknown` otherwise),
-//! and the producing tool's version. No wall-clock timestamps: two runs
-//! of the same commit stamp identical provenance.
-
-use dhs_obs::Fnv1a;
+//! Every registry row carries the VCS commit (from `DHS_COMMIT` —
+//! scripts export it; `unknown` otherwise) and the producing tool's
+//! version. No wall-clock timestamps: two runs of the same commit stamp
+//! identical provenance.
 
 /// The commit id to stamp: `DHS_COMMIT`, cleaned for CSV/JSON embedding,
 /// or `unknown`.
@@ -31,45 +27,4 @@ pub fn commit() -> String {
 /// The producing tool identifier (crate + version).
 pub fn tool() -> String {
     format!("dhs-bench-{}", env!("CARGO_PKG_VERSION"))
-}
-
-/// FNV-1a digest over `key=value` configuration lines, as 16 hex digits.
-/// Order matters — callers pass fields in a fixed order.
-pub fn config_digest(parts: &[(&str, String)]) -> String {
-    let mut h = Fnv1a::new();
-    for (k, v) in parts {
-        h.update(format!("{k}={v}\n").as_bytes());
-    }
-    format!("{:016x}", h.finish())
-}
-
-/// The shared `"provenance"` JSON object both BENCH emitters embed.
-pub fn provenance_json(seed: u64, config_digest: &str) -> String {
-    format!(
-        "{{\"seed\": {seed}, \"config_digest\": \"{config_digest}\", \
-         \"commit\": \"{}\", \"tool\": \"{}\"}}",
-        commit(),
-        tool()
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn config_digest_is_stable_and_order_sensitive() {
-        let a = config_digest(&[("m", "512".into()), ("k", "28".into())]);
-        assert_eq!(a, config_digest(&[("m", "512".into()), ("k", "28".into())]));
-        assert_ne!(a, config_digest(&[("k", "28".into()), ("m", "512".into())]));
-        assert_eq!(a.len(), 16);
-    }
-
-    #[test]
-    fn provenance_json_shape() {
-        let p = provenance_json(42, "abcd");
-        assert!(p.contains("\"seed\": 42"));
-        assert!(p.contains("\"config_digest\": \"abcd\""));
-        assert!(p.contains("\"tool\": \"dhs-bench-"));
-    }
 }

@@ -29,7 +29,7 @@ use crate::lexer::{lex, Tok, Token};
 /// a subset of the actual `Cargo.toml` members.
 pub const REPLAY_OPT_OUT: &[&str] = &[
     "baselines", // offline estimator references, not replayed
-    "bench",     // measurement harness: wall clocks are the point
+    "bench",     // experiment harness: casts and `expect`s not triaged
     "histogram", // plotting/report helper, no replay surface
     "lint",      // this tool (its sources spell out banned patterns)
     "shims",     // vendored stand-ins for external crates

@@ -6,37 +6,42 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# twice <label> [filter] -- <cmd…>: run <cmd> twice and require its
-# stdout — or, given a filter (a stdin→stdout command), the non-empty
-# extract the filter takes from it — to be byte-identical across the
-# two runs. A failing <cmd> fails the gate. The first run's stdout stays
-# in $tmp/<label>.a for follow-up greps.
+# twice <label> <cmd…>: run <cmd> twice and require its stdout to be
+# non-empty and byte-identical across the two runs. A failing <cmd>
+# fails the gate. The first run's stdout stays in $tmp/<label>.a for
+# follow-up greps.
 twice() {
-  local label=$1 filter=cat run
-  shift
-  [ "$1" = -- ] || { filter=$1; shift; }
+  local label=$1 run
   shift
   for run in a b; do
     "$@" > "$tmp/$label.$run"
-    "$filter" < "$tmp/$label.$run" > "$tmp/$label.$run.key"
   done
-  [ -s "$tmp/$label.a.key" ] && cmp "$tmp/$label.a.key" "$tmp/$label.b.key"
+  [ -s "$tmp/$label.a" ] && cmp "$tmp/$label.a" "$tmp/$label.b"
 }
 repro() { cargo run --release --quiet -p dhs-bench --bin repro -- "$@"; }
 
 cargo fmt --all --check
 
+# One clock: wall-clock time is read only by the out-of-workspace
+# `benchmark/` crate. Everywhere else (dhs-lint excepted — its sources
+# and fixtures spell out the patterns it bans) the outputs are model
+# outputs and must not depend on when they ran.
+if git grep -nE 'Instant::now|SystemTime::now' -- crates src examples tests ':!crates/lint'; then
+  echo "a wall clock is read outside benchmark/" >&2
+  exit 1
+fi
+
 # Static-analysis gate first: dhs-lint enforces determinism, lossy-cast,
 # metric-name, and panic-hygiene invariants (see DESIGN.md). Its JSONL
 # must also be byte-identical across two runs — the lint polices
 # determinism, so it had better be deterministic itself.
-twice lint -- cargo run --release --quiet -p dhs-lint
+twice lint cargo run --release --quiet -p dhs-lint
 echo "dhs-lint: clean, two runs byte-identical"
 
 # Interprocedural gate: dhs-flow links the workspace call graph and
 # checks the rng-plumbing, dropped-result, and recursion-bound
 # whole-program invariants. Same determinism contract.
-twice flow -- cargo run --release --quiet -p dhs-lint -- --flow
+twice flow cargo run --release --quiet -p dhs-lint -- --flow
 echo "dhs-lint --flow: clean, two runs byte-identical"
 
 cargo clippy --workspace --all-targets -- -D warnings
@@ -61,40 +66,31 @@ echo "benchmark smoke: $(wc -l < "$tmp/bench.summaries") runs correct, 0 failed 
 cargo build --workspace --examples
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-# Criterion benches in quick mode: a 25 ms measurement window per target
-# smoke-tests every bench without paying full measurement time.
-DHS_BENCH_MS=25 cargo bench --workspace --quiet
-
 # Observability determinism self-check: the instrumented example must
 # replay byte-identically — two same-seed runs, compared as raw stdout
 # (metrics JSONL, span digests, load table and all).
-twice observability -- cargo run --release --quiet --example observability
+twice observability cargo run --release --quiet --example observability
 echo "observability example: two runs byte-identical"
 
 # Sharded-store scenario at CI scale: the N4 workload (10⁶ metrics at
-# full scale, DHS_SHARD_METRICS-scaled here) through the tiered store,
-# twice. The JSON's state_digest folds routing, tier promotions,
-# eviction order, and every estimate — wall-clock-free, so two runs
-# must agree exactly.
-export DHS_SHARD_METRICS="${DHS_SHARD_METRICS:-20000}"
-state_digest() { grep -o '"state_digest": "[^"]*"'; }
-twice shard state_digest -- repro bench-shard --out "$tmp/shard.json"
-grep -q '"sharded_equals_single_shard": true' "$tmp/shard.a"
-grep -q '"lossless_spill_preserves_estimates": true' "$tmp/shard.a"
-grep -q '"two_runs_identical": true' "$tmp/shard.a"
-echo "shard scenario (DHS_SHARD_METRICS=$DHS_SHARD_METRICS): equivalent, two runs digest-identical"
+# full scale, 2×10⁴ here) through the tiered store, twice. `repro`
+# reads no clock, so the whole stdout — per-shard table, tier census,
+# eviction digest and the state digest folding routing, promotions,
+# evictions and every estimate — must agree exactly, and every
+# equivalence acceptance line must PASS.
+twice shard repro shard --scale 0.002
+if grep FAIL "$tmp/shard.a"; then exit 1; fi
+echo "shard scenario (2×10⁴ metrics): equivalent, two runs byte-identical"
 
 # Threaded-driver scenario at CI scale: the N6 saturation sweep
-# (DHS_SAT_METRICS-scaled) at 1 and at 2 worker threads, twice each.
-# The state digest folds every (key, estimate) pair shard by shard —
-# wall-clock-free — so the four runs must agree on it exactly: two
-# same-seed runs per thread count (reproducibility) *and* across the
-# two thread counts (the dhs-par thread-count-invariance contract).
-export DHS_SAT_METRICS="${DHS_SAT_METRICS:-5000}"
-sat_digest() { grep -o 'state digest 0x[0-9a-f]*'; }
-twice saturation sat_digest -- repro saturation
-grep -q 'digests invariant across thread counts: PASS' "$tmp/saturation.a"
-echo "saturation scenario (DHS_SAT_METRICS=$DHS_SAT_METRICS): digest thread-count-invariant, two runs identical"
+# (5×10³ metrics) at 1, 2, 4 and 8 worker threads, twice. The state
+# and metric digests fold every (key, estimate) pair shard by shard, so
+# the two runs must agree exactly, and the acceptance lines require
+# them equal across the four thread counts (the dhs-par
+# thread-count-invariance contract) and a virtual speedup ≥ 3× at 4.
+twice saturation repro saturation --scale 0.0005
+if grep FAIL "$tmp/saturation.a"; then exit 1; fi
+echo "saturation scenario (5×10³ metrics): digests thread-count-invariant, two runs byte-identical"
 
 # Ablation-harness gate: the smoke plans (CI-scale N3/N4/N6 sweeps) must
 # (a) pass every declared KPI envelope, (b) print byte-identical report
@@ -102,7 +98,7 @@ echo "saturation scenario (DHS_SAT_METRICS=$DHS_SAT_METRICS): digest thread-coun
 # trajectory registry — a perturbed baseline makes this a hard failure.
 # The smoke-saturation plan runs W = 1 and W = 2 jobs, so its
 # digest_invariant KPI re-checks thread-count invariance under --gate.
-twice ablate -- repro ablate smoke smoke-saturation --gate
+twice ablate repro ablate smoke smoke-saturation --gate
 echo "ablation smoke plans: KPIs in envelope, no drift vs registry/traj.csv, two runs byte-identical"
 
 echo "all checks passed"
