@@ -352,7 +352,7 @@ pub fn ablation_bitshift(exp: &ExpConfig) -> String {
             ..exp.dhs_config()
         };
         let (dhs, ring, actual, mut rng) = populate_single(cfg, exp, 0xA3 + u64::from(b));
-        let stored = ring.total_live_bytes() / u64::from(dhs.config().tuple_bytes);
+        let stored = ring.total_live_bytes() / u64::from(DhsConfig::TUPLE_BYTES);
         let (err0, _) = mean_abs_error(&dhs, &ring, actual, exp.trials, &mut rng);
         // Mean and worst over independent failure patterns: without the
         // shift, the highest bits of *every* vector share a handful of

@@ -481,7 +481,7 @@ mod tests {
         for name in PLAN_NAMES {
             for (plan, _) in ablation_plans(name).unwrap() {
                 plan.validate().unwrap();
-                let jobs = plan.expand(42).unwrap();
+                let jobs = plan.expand().unwrap();
                 assert!(!jobs.is_empty(), "{name} expands to no jobs");
                 assert_eq!(plan.plan_hash(), plan.plan_hash());
             }

@@ -21,6 +21,18 @@ pub enum EstimatorKind {
     HyperLogLog,
 }
 
+impl EstimatorKind {
+    /// The fewest bitmap vectors the estimator's constants are defined
+    /// for.
+    fn min_buckets(self) -> usize {
+        match self {
+            EstimatorKind::Pcsa => 1,
+            EstimatorKind::SuperLogLog => 2,
+            EstimatorKind::HyperLogLog => 16,
+        }
+    }
+}
+
 impl fmt::Display for EstimatorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -55,23 +67,6 @@ pub struct DhsConfig {
     pub ttl: u64,
     /// Estimator reconstructed at counting time.
     pub estimator: EstimatorKind,
-    /// Paper-faithful scanning: treat the bitmap as `k` bits long and
-    /// partition the ID space into `k − bit_shift` intervals, even though
-    /// with `m` vectors only the low `k − log2(m)` positions can ever be
-    /// set — the super-LogLog scan then probes the (empty) top intervals,
-    /// exactly as the paper's Algorithm 1 (`for r = L−1, …, 0`) does and
-    /// as its Table 2 costs reflect. Setting this to `false` skips the
-    /// unreachable positions, an optimization the paper does not apply.
-    pub scan_all_bits: bool,
-    /// Encoded size of one DHS tuple on the wire/in storage. The paper's
-    /// evaluation packs `<metric_id, vector_id, bit, time_out>` into
-    /// 8 bytes (§5.1).
-    pub tuple_bytes: u32,
-    /// Size of a probe/lookup request message.
-    pub request_bytes: u32,
-    /// Fixed header of a probe response (the variable part — which
-    /// vectors have the bit — is `⌈m/8⌉` bytes per metric).
-    pub response_header_bytes: u32,
 }
 
 impl Default for DhsConfig {
@@ -86,10 +81,6 @@ impl Default for DhsConfig {
             bit_shift: 0,
             ttl: u64::MAX,
             estimator: EstimatorKind::SuperLogLog,
-            scan_all_bits: true,
-            tuple_bytes: 8,
-            request_bytes: 16,
-            response_header_bytes: 8,
         }
     }
 }
@@ -120,8 +111,14 @@ pub enum ConfigError {
         /// Available rank bits.
         rank_bits: u32,
     },
-    /// HyperLogLog needs at least 16 buckets for its α constants.
-    TooFewBucketsForHll(usize),
+    /// The estimator's α constants need more buckets than `m`:
+    /// super-LogLog at least 2, HyperLogLog at least 16.
+    TooFewBuckets {
+        /// Configured estimator.
+        estimator: EstimatorKind,
+        /// Configured bitmap count.
+        m: usize,
+    },
     /// `lim` must be ≥ 1.
     ZeroRetryLimit,
     /// `replication` must be ≥ 1.
@@ -148,8 +145,12 @@ impl fmt::Display for ConfigError {
                 f,
                 "bit_shift = {bit_shift} leaves no storable bits (rank bits = {rank_bits})"
             ),
-            ConfigError::TooFewBucketsForHll(m) => {
-                write!(f, "HyperLogLog needs m ≥ 16, got {m}")
+            ConfigError::TooFewBuckets { estimator, m } => {
+                write!(
+                    f,
+                    "{estimator} needs m ≥ {}, got {m}",
+                    estimator.min_buckets()
+                )
             }
             ConfigError::ZeroRetryLimit => write!(f, "lim must be ≥ 1"),
             ConfigError::ZeroReplication => write!(f, "replication must be ≥ 1"),
@@ -160,6 +161,16 @@ impl fmt::Display for ConfigError {
 impl Error for ConfigError {}
 
 impl DhsConfig {
+    /// Encoded size of one DHS tuple on the wire/in storage. The paper's
+    /// evaluation packs `<metric_id, vector_id, bit, time_out>` into
+    /// 8 bytes (§5.1).
+    pub const TUPLE_BYTES: u32 = 8;
+    /// Size of a probe/lookup request message.
+    pub const REQUEST_BYTES: u32 = 16;
+    /// Fixed header of a probe response (the variable part — which
+    /// vectors have the bit — is `⌈m/8⌉` bytes per metric).
+    pub const RESPONSE_HEADER_BYTES: u32 = 8;
+
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.k == 0 || self.k > 64 {
@@ -183,8 +194,11 @@ impl DhsConfig {
                 rank_bits: self.rank_bits(),
             });
         }
-        if self.estimator == EstimatorKind::HyperLogLog && self.m < 16 {
-            return Err(ConfigError::TooFewBucketsForHll(self.m));
+        if self.m < self.estimator.min_buckets() {
+            return Err(ConfigError::TooFewBuckets {
+                estimator: self.estimator,
+                m: self.m,
+            });
         }
         if self.lim == 0 {
             return Err(ConfigError::ZeroRetryLimit);
@@ -207,22 +221,14 @@ impl DhsConfig {
         self.k - self.bucket_bits()
     }
 
-    /// Highest bit position (exclusive) the counting scan covers: `k`
-    /// when [`scan_all_bits`](Self::scan_all_bits) (paper-faithful),
-    /// otherwise the highest settable position `rank_bits()`.
-    pub fn scan_bits(&self) -> u32 {
-        if self.scan_all_bits {
-            self.k
-        } else {
-            self.rank_bits()
-        }
-    }
-
-    /// Number of ID-space intervals: `scan_bits() − bit_shift` (§3.5's
-    /// shift removes the lowest ones). Only the first
-    /// `rank_bits() − bit_shift` ever hold data.
+    /// Number of ID-space intervals: `k − bit_shift` (§3.5's shift
+    /// removes the lowest ones). The counting scan covers all `k` bit
+    /// positions, as the paper's Algorithm 1 (`for r = L−1, …, 0`) does
+    /// and its Table 2 costs reflect, though only the first
+    /// `rank_bits() − bit_shift` intervals ever hold data: with `m`
+    /// vectors the top `log2(m)` positions are structurally empty.
     pub fn num_intervals(&self) -> u32 {
-        self.scan_bits() - self.bit_shift
+        self.k - self.bit_shift
     }
 
     /// The minimum hash length the paper's eq. 3 prescribes for counting
@@ -239,7 +245,7 @@ impl DhsConfig {
     /// Probe response size in bytes when reporting `metrics` metrics: the
     /// fixed header plus one presence bit per vector per metric.
     pub fn response_bytes(&self, metrics: usize) -> u64 {
-        u64::from(self.response_header_bytes) + (metrics as u64) * self.m.div_ceil(8) as u64
+        u64::from(Self::RESPONSE_HEADER_BYTES) + (metrics as u64) * self.m.div_ceil(8) as u64
     }
 }
 
@@ -254,11 +260,9 @@ mod tests {
         assert_eq!(cfg.k, 24);
         assert_eq!(cfg.m, 512);
         assert_eq!(cfg.lim, 5);
-        assert_eq!(cfg.tuple_bytes, 8);
         assert_eq!(cfg.bucket_bits(), 9);
         assert_eq!(cfg.rank_bits(), 15);
-        assert_eq!(cfg.scan_bits(), 24, "paper-faithful full-k scan");
-        assert_eq!(cfg.num_intervals(), 24);
+        assert_eq!(cfg.num_intervals(), 24, "paper-faithful full-k scan");
     }
 
     #[test]
@@ -395,6 +399,27 @@ mod tests {
         assert_eq!(EstimatorKind::HyperLogLog.to_string(), "HLL");
     }
 
+    /// Regression: super-LogLog with one bucket used to validate, and
+    /// the first `count` then panicked in the estimator (its α constant
+    /// needs m ≥ 2).
+    #[test]
+    fn superloglog_requires_two_buckets() {
+        let cfg = DhsConfig {
+            m: 1,
+            estimator: EstimatorKind::SuperLogLog,
+            ..DhsConfig::default()
+        };
+        assert!(cfg.validate().is_err());
+        let cfg = DhsConfig { m: 2, ..cfg };
+        cfg.validate().unwrap();
+        let pcsa = DhsConfig {
+            m: 1,
+            estimator: EstimatorKind::Pcsa,
+            ..DhsConfig::default()
+        };
+        pcsa.validate().unwrap();
+    }
+
     #[test]
     fn hll_requires_sixteen_buckets() {
         let cfg = DhsConfig {
@@ -402,7 +427,10 @@ mod tests {
             estimator: EstimatorKind::HyperLogLog,
             ..DhsConfig::default()
         };
-        assert!(cfg.validate().is_err());
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::TooFewBuckets { m: 8, .. })
+        ));
         let cfg = DhsConfig {
             m: 16,
             estimator: EstimatorKind::HyperLogLog,

@@ -333,12 +333,12 @@ impl Dhs {
         }
         let (bytes_before, hops_before) = (ledger.bytes(), ledger.hops());
         let span = start_span(transport, names::SPAN_COUNT, metrics.len() as u64);
-        let request = u64::from(cfg.request_bytes);
+        let request = u64::from(DhsConfig::REQUEST_BYTES);
         let response = cfg.response_bytes(metrics.len());
         let mut stats = CountStats::default();
         let mut regs = Registers::new(cfg, metrics, start_rank);
         let descending = matches!(regs.mode, ScanMode::MaxRank { .. });
-        let (bottom, top) = (cfg.bit_shift, cfg.scan_bits());
+        let (bottom, top) = (cfg.bit_shift, cfg.k);
         for up in bottom..top {
             if regs.unresolved == 0 {
                 break;

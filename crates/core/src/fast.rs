@@ -140,30 +140,18 @@ impl EpochCache {
 /// emptiness or single-owner coverage) and falls back to the full
 /// per-interval walk otherwise, so a wildly wrong hint costs nothing but
 /// the saved work.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScanHint {
     priors: BTreeMap<MetricId, f64>,
-    slack: u32,
 }
 
 impl ScanHint {
     /// Extra ranks scanned above the prior's top-bit expectation.
     pub const DEFAULT_SLACK: u32 = 4;
 
-    /// An empty hint store with the default slack.
+    /// An empty hint store.
     pub fn new() -> Self {
-        ScanHint {
-            priors: BTreeMap::new(),
-            slack: Self::DEFAULT_SLACK,
-        }
-    }
-
-    /// Override the slack (ranks added above the expected top bit).
-    pub fn with_slack(slack: u32) -> Self {
-        ScanHint {
-            priors: BTreeMap::new(),
-            slack,
-        }
+        ScanHint::default()
     }
 
     /// Remember `estimate` as the prior for `metric`.
@@ -180,7 +168,7 @@ impl ScanHint {
 
     /// The highest rank the scan must still examine for `metrics`, or
     /// `None` when any metric lacks a prior (→ full scan). The result is
-    /// clamped into the scannable range `[bit_shift, scan_bits)`.
+    /// clamped into the scannable range `[bit_shift, k)`.
     #[allow(clippy::cast_possible_truncation)]
     pub fn start_rank(&self, cfg: &DhsConfig, metrics: &[MetricId]) -> Option<u32> {
         let mut start = cfg.bit_shift;
@@ -192,16 +180,10 @@ impl ScanHint {
             let per_vector = (prior / cfg.m as f64).max(1.0);
             // dhs-lint: allow(lossy_cast) — float→int: ceil(log2) of a finite
             // positive f64 is ≤ 1024, comfortably inside u32.
-            let top = (per_vector.log2().ceil() as u32).saturating_add(self.slack);
-            start = start.max(top.min(cfg.scan_bits().saturating_sub(1)));
+            let top = per_vector.log2().ceil() as u32 + Self::DEFAULT_SLACK;
+            start = start.max(top.min(cfg.k.saturating_sub(1)));
         }
         Some(start)
-    }
-}
-
-impl Default for ScanHint {
-    fn default() -> Self {
-        ScanHint::new()
     }
 }
 
@@ -215,7 +197,7 @@ mod tests {
             k: 20,
             m: 16,
             ..DhsConfig::default()
-        } // rank_bits = 16, scan_bits = 20
+        } // rank_bits = 16, k = 20
     }
 
     #[test]
@@ -302,17 +284,14 @@ mod tests {
         let c = cfg();
         let mut hint = ScanHint::new();
         hint.record(1, 1e18); // absurd prior
-        assert_eq!(hint.start_rank(&c, &[1]), Some(c.scan_bits() - 1));
-        let mut hint = ScanHint::with_slack(0);
-        hint.record(1, 0.0);
-        assert_eq!(hint.start_rank(&c, &[1]), Some(c.bit_shift));
+        assert_eq!(hint.start_rank(&c, &[1]), Some(c.k - 1));
+        // A tiny prior starts at the slack, or at the bit shift above it.
+        hint.record(2, 0.0);
+        assert_eq!(hint.start_rank(&c, &[2]), Some(ScanHint::DEFAULT_SLACK));
+        let shifted = DhsConfig { bit_shift: 6, ..c };
+        assert_eq!(hint.start_rank(&shifted, &[2]), Some(6));
         // Garbage priors are ignored.
-        hint.record(2, f64::NAN);
-        assert_eq!(hint.prior(2), None);
-        // An absurd slack saturates instead of overflowing; the clamp
-        // then bounds it like any other start.
-        let mut hint = ScanHint::with_slack(u32::MAX);
-        hint.record(1, 10_000.0);
-        assert_eq!(hint.start_rank(&c, &[1]), Some(c.scan_bits() - 1));
+        hint.record(3, f64::NAN);
+        assert_eq!(hint.prior(3), None);
     }
 }

@@ -413,7 +413,7 @@ impl Dhs {
                 .iter()
                 .map(|&(_, i, _)| groups[i].1.len() as u64)
                 .sum();
-            let payload = u64::from(cfg.tuple_bytes) * tuple_count;
+            let payload = u64::from(DhsConfig::TUPLE_BYTES) * tuple_count;
             let route_span = start_span(transport, names::SPAN_ROUTE, tuple_count);
             let stored = routed_send(
                 &*ring,
@@ -447,7 +447,7 @@ impl Dhs {
                 for &(_, i, routing_key) in members {
                     let record = StoredRecord {
                         expires_at,
-                        size_bytes: cfg.tuple_bytes,
+                        size_bytes: DhsConfig::TUPLE_BYTES,
                         routing_key,
                     };
                     for tuple in &groups[i].1 {

@@ -103,16 +103,16 @@ impl WalkState {
 }
 
 /// The identifier interval of bit position `rank`, under `cfg`'s
-/// bit-shift. `rank` must satisfy `cfg.bit_shift ≤ rank < cfg.scan_bits()`
+/// bit-shift. `rank` must satisfy `cfg.bit_shift ≤ rank < cfg.k`
 /// (storage only ever uses ranks below `cfg.rank_bits()`; the counting
-/// scan may probe the empty positions above — see
-/// [`DhsConfig::scan_all_bits`]).
+/// scan also probes the empty positions above — see
+/// [`DhsConfig::num_intervals`]).
 pub fn interval_for_rank(cfg: &DhsConfig, rank: u32) -> IdInterval {
     assert!(
-        rank >= cfg.bit_shift && rank < cfg.scan_bits(),
+        rank >= cfg.bit_shift && rank < cfg.k,
         "rank {rank} outside storable range [{}, {})",
         cfg.bit_shift,
-        cfg.scan_bits()
+        cfg.k
     );
     let index = rank - cfg.bit_shift;
     interval_at(index, cfg.num_intervals())
@@ -159,7 +159,6 @@ mod tests {
             k,
             m,
             bit_shift,
-            scan_all_bits: false,
             ..DhsConfig::default()
         };
         cfg.validate().unwrap();
@@ -243,8 +242,14 @@ mod tests {
 
     #[test]
     fn single_interval_config() {
-        // k = 10, m = 512 → one rank bit → one interval covering all ids.
-        let cfg = cfg_with(10, 512, 0);
+        // k = 1, m = 1 → one bit position → one interval covering all ids.
+        let cfg = DhsConfig {
+            k: 1,
+            m: 1,
+            estimator: crate::EstimatorKind::Pcsa,
+            ..DhsConfig::default()
+        };
+        cfg.validate().unwrap();
         assert_eq!(cfg.num_intervals(), 1);
         let iv = interval_for_rank(&cfg, 0);
         assert_eq!(iv.lo, 0);

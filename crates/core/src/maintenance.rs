@@ -19,6 +19,7 @@ use rand::Rng;
 use dhs_dht::cost::CostLedger;
 use dhs_dht::overlay::Overlay;
 
+use crate::config::DhsConfig;
 use crate::fast::EpochCache;
 use crate::insert::Dhs;
 use crate::transport::{end_span, start_span, DirectTransport, MessageKind, Transport};
@@ -201,7 +202,7 @@ pub fn repair_replicas_observed(
         ring.store_at(target, app_key, rec);
         ledger.charge_hops(1);
         ledger.charge_message(0);
-        ledger.charge_bytes(u64::from(dhs.config().tuple_bytes));
+        ledger.charge_bytes(u64::from(DhsConfig::TUPLE_BYTES));
         ledger.record_visit(target);
         obs.delivered(MessageKind::Store.tag(), target);
     }
@@ -211,23 +212,18 @@ pub fn repair_replicas_observed(
 
 /// Expected maintenance bandwidth per logical-time unit for a node that
 /// owns `distinct_tuples` live tuples, refreshing every `period` time
-/// units with `tuple_bytes`-byte tuples over `avg_hops`-hop routes.
+/// units with [`DhsConfig::TUPLE_BYTES`]-byte tuples over `avg_hops`-hop
+/// routes.
 ///
 /// `period` must be ≤ the TTL for the data to stay alive.
-pub fn refresh_cost_per_time(
-    distinct_tuples: usize,
-    tuple_bytes: u32,
-    avg_hops: f64,
-    period: u64,
-) -> f64 {
+pub fn refresh_cost_per_time(distinct_tuples: usize, avg_hops: f64, period: u64) -> f64 {
     assert!(period > 0);
-    distinct_tuples as f64 * f64::from(tuple_bytes) * avg_hops / period as f64
+    distinct_tuples as f64 * f64::from(DhsConfig::TUPLE_BYTES) * avg_hops / period as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DhsConfig;
     use dhs_dht::ring::{Ring, RingConfig};
     use dhs_sketch::{ItemHasher, SplitMix64};
     use rand::rngs::StdRng;
@@ -398,9 +394,9 @@ mod tests {
     #[test]
     fn refresh_cost_formula() {
         // 1000 tuples, 8 bytes, 3.4 hops, period 100 → 272 bytes/unit.
-        let c = refresh_cost_per_time(1000, 8, 3.4, 100);
+        let c = refresh_cost_per_time(1000, 3.4, 100);
         assert!((c - 272.0).abs() < 1e-9);
         // Longer period ⇒ cheaper.
-        assert!(refresh_cost_per_time(1000, 8, 3.4, 200) < c);
+        assert!(refresh_cost_per_time(1000, 3.4, 200) < c);
     }
 }

@@ -245,11 +245,6 @@ impl<T: Transport, R: Recorder> Observed<T, R> {
         &self.observer
     }
 
-    /// The attached observer, mutably (e.g. to swap phases of a workload).
-    pub fn observer_mut(&mut self) -> &mut R {
-        &mut self.observer
-    }
-
     /// Unwrap into the transport and the observer.
     pub fn into_parts(self) -> (T, R) {
         (self.inner, self.observer)

@@ -6,7 +6,7 @@
 //! so the application key is exactly the `(metric, vector, bit)` triple,
 //! packed into a `u64`. The `time_out` lives in the stored record's
 //! expiry field; the wire size of the whole tuple is configured by
-//! [`crate::DhsConfig::tuple_bytes`] (8 bytes in the paper's evaluation).
+//! [`crate::DhsConfig::TUPLE_BYTES`] (8 bytes in the paper's evaluation).
 
 use crate::cast::checked_cast;
 

@@ -100,11 +100,6 @@ impl FingerTables {
         }
     }
 
-    /// The stored table of `node`, if any.
-    pub fn table_of(&self, node: u64) -> Option<&NodeFingers> {
-        self.tables.get(&node)
-    }
-
     /// Re-run the stabilization protocol on one node: recompute its
     /// fingers and successor list from the current ring. Charges the
     /// `O(log N)` lookups the protocol performs (one per finger level

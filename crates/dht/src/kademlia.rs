@@ -36,11 +36,6 @@ impl Kademlia {
         }
     }
 
-    /// Wrap an existing node population (shares ids and stores).
-    pub fn from_ring(inner: Ring) -> Self {
-        Kademlia { inner }
-    }
-
     /// The underlying node population (storage, churn, clock).
     pub fn ring(&self) -> &Ring {
         &self.inner

@@ -110,11 +110,6 @@ impl Ring {
         self.alive_ids.len()
     }
 
-    /// Total number of nodes ever seen (alive + failed).
-    pub fn len_total(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Current logical time.
     pub fn now(&self) -> u64 {
         self.now

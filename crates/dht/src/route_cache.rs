@@ -64,27 +64,25 @@ struct Entry {
 
 /// A fixed-capacity LRU map from key ranges to their resolved owners.
 ///
-/// Capacity is small (default 128) and lookups are a linear scan —
-/// deterministic, allocation-free after construction, and far below the
-/// cost of even one routing hop at these sizes.
+/// Capacity is small ([`Self::DEFAULT_CAPACITY`]) and lookups are a
+/// linear scan — deterministic, allocation-free after construction, and
+/// far below the cost of even one routing hop at these sizes.
 #[derive(Debug, Clone)]
 pub struct RouteCache {
     entries: Vec<Entry>,
-    capacity: usize,
     tick: u64,
     stats: RouteCacheStats,
 }
 
 impl RouteCache {
-    /// Default entry capacity.
+    /// Entry capacity.
     pub const DEFAULT_CAPACITY: usize = 128;
 
-    /// An empty cache holding at most `capacity` ownership ranges.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "route cache needs capacity ≥ 1");
+    /// An empty cache holding at most [`Self::DEFAULT_CAPACITY`]
+    /// ownership ranges.
+    pub fn new() -> Self {
         RouteCache {
-            entries: Vec::with_capacity(capacity),
-            capacity,
+            entries: Vec::with_capacity(Self::DEFAULT_CAPACITY),
             tick: 0,
             stats: RouteCacheStats::default(),
         }
@@ -128,16 +126,16 @@ impl RouteCache {
             e.last_used = self.tick;
             return;
         }
-        if self.entries.len() == self.capacity {
+        if self.entries.len() == Self::DEFAULT_CAPACITY {
             let lru = self
                 .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                // dhs-lint: allow(panic_hygiene) — invariant: capacity is validated nonzero at construction.
-                .expect("capacity ≥ 1");
-            self.entries.swap_remove(lru);
+                .map(|(i, _)| i);
+            if let Some(lru) = lru {
+                self.entries.swap_remove(lru);
+            }
         }
         self.entries.push(Entry {
             pred,
@@ -173,7 +171,7 @@ impl RouteCache {
 
 impl Default for RouteCache {
     fn default() -> Self {
-        RouteCache::new(Self::DEFAULT_CAPACITY)
+        RouteCache::new()
     }
 }
 
@@ -186,16 +184,11 @@ pub struct CachedOverlay<O> {
 }
 
 impl<O: Overlay> CachedOverlay<O> {
-    /// Wrap `inner` with a default-capacity route cache.
+    /// Wrap `inner` with an empty route cache.
     pub fn new(inner: O) -> Self {
-        Self::with_cache(inner, RouteCache::default())
-    }
-
-    /// Wrap `inner` with an explicit cache.
-    pub fn with_cache(inner: O, cache: RouteCache) -> Self {
         CachedOverlay {
             inner,
-            cache: RefCell::new(cache),
+            cache: RefCell::new(RouteCache::new()),
         }
     }
 
@@ -436,14 +429,17 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_range() {
-        let mut cache = RouteCache::new(2);
-        cache.insert(0, 10);
-        cache.insert(10, 20);
-        assert!(cache.candidate(15).is_some()); // touches (10, 20]
-        cache.insert(20, 30); // evicts (0, 10]
-        assert_eq!(cache.len(), 2);
-        assert!(cache.candidate(5).is_none(), "LRU entry evicted");
-        assert!(cache.candidate(25).is_some());
+        let mut cache = RouteCache::new();
+        let cap = RouteCache::DEFAULT_CAPACITY as u64;
+        for i in 0..cap {
+            cache.insert(10 * i, 10 * i + 10);
+        }
+        assert!(cache.candidate(5).is_some()); // touches (0, 10]
+        cache.insert(10 * cap, 10 * cap + 10); // evicts (10, 20]
+        assert_eq!(cache.len(), RouteCache::DEFAULT_CAPACITY);
+        assert!(cache.candidate(15).is_none(), "LRU entry evicted");
+        assert!(cache.candidate(5).is_some());
+        assert!(cache.candidate(10 * cap + 5).is_some());
     }
 
     #[test]

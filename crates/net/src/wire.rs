@@ -38,10 +38,10 @@ impl MessageSizes {
             EstimatorKind::HyperLogLog => HyperLogLog::encoded_size(cfg.m),
         };
         MessageSizes {
-            lookup_request: u64::from(cfg.request_bytes),
-            probe_request: u64::from(cfg.request_bytes),
-            probe_reply_header: u64::from(cfg.response_header_bytes),
-            tuple: u64::from(cfg.tuple_bytes),
+            lookup_request: u64::from(DhsConfig::REQUEST_BYTES),
+            probe_request: u64::from(DhsConfig::REQUEST_BYTES),
+            probe_reply_header: u64::from(DhsConfig::RESPONSE_HEADER_BYTES),
+            tuple: u64::from(DhsConfig::TUPLE_BYTES),
             sketch_snapshot: snapshot as u64,
         }
     }

@@ -139,11 +139,6 @@ impl LoadMonitor {
             .collect();
         LoadStats::from_counts(&counts)
     }
-
-    /// Skew summary over the non-empty intervals' loads.
-    pub fn interval_stats(&self) -> LoadStats {
-        LoadStats::from_counts(&self.intervals)
-    }
 }
 
 #[cfg(test)]

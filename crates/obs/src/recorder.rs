@@ -70,15 +70,6 @@ impl Observer {
             load: LoadMonitor::new(num_intervals),
         }
     }
-
-    /// Same, with an explicit span ring-buffer capacity.
-    pub fn with_span_capacity(num_intervals: usize, capacity: usize) -> Self {
-        Observer {
-            metrics: MetricsRegistry::new(),
-            spans: SpanRecorder::with_capacity(capacity),
-            load: LoadMonitor::new(num_intervals),
-        }
-    }
 }
 
 /// Counter name for a delivered message of kind-tag `kind`.

@@ -9,7 +9,7 @@
 use crate::fnv::fnv1a;
 use std::collections::VecDeque;
 
-/// Default capacity of the completed-span ring buffer.
+/// Capacity of the completed-span ring buffer.
 pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
 
 /// One completed (or still-open) span.
@@ -35,29 +35,23 @@ pub struct SpanRecorder {
     next_id: u64,
     open: Vec<SpanRecord>,
     done: VecDeque<SpanRecord>,
-    capacity: usize,
     evicted: u64,
 }
 
 impl Default for SpanRecorder {
     fn default() -> Self {
-        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
+        Self::new()
     }
 }
 
 impl SpanRecorder {
-    /// A recorder with the default ring-buffer capacity.
+    /// A recorder keeping at most [`DEFAULT_SPAN_CAPACITY`] completed
+    /// spans.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A recorder keeping at most `capacity` completed spans.
-    pub fn with_capacity(capacity: usize) -> Self {
         SpanRecorder {
             next_id: 1,
             open: Vec::new(),
             done: VecDeque::new(),
-            capacity: capacity.max(1),
             evicted: 0,
         }
     }
@@ -94,7 +88,7 @@ impl SpanRecorder {
     }
 
     fn push_done(&mut self, span: SpanRecord) {
-        if self.done.len() == self.capacity {
+        if self.done.len() == DEFAULT_SPAN_CAPACITY {
             self.done.pop_front();
             self.evicted += 1;
         }
@@ -173,14 +167,15 @@ mod tests {
 
     #[test]
     fn ring_buffer_evicts_oldest() {
-        let mut r = SpanRecorder::with_capacity(2);
-        for i in 0..4 {
+        let mut r = SpanRecorder::new();
+        let total = DEFAULT_SPAN_CAPACITY as u64 + 2;
+        for i in 0..total {
             let id = r.start("s", i, i);
             r.end(id, i + 1);
         }
         assert_eq!(r.evicted(), 2);
         let args: Vec<u64> = r.completed().map(|s| s.arg).collect();
-        assert_eq!(args, vec![2, 3]);
+        assert_eq!(args, (2..total).collect::<Vec<_>>());
     }
 
     #[test]

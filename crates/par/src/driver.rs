@@ -38,6 +38,9 @@ use std::sync::mpsc;
 /// Per-worker SPSC queue depth (chunks, not items).
 const QUEUE_DEPTH: usize = 4;
 
+/// Updates per SPSC chunk.
+const CHUNK: usize = 1024;
+
 /// Seed salt separating per-worker RNG streams from the workload's.
 const WORKER_SALT: u64 = 0x5AAD_0006_D21A_7E01;
 
@@ -50,21 +53,17 @@ pub struct SatConfig {
     pub shards: usize,
     /// Registers per sketch.
     pub m: usize,
-    /// Updates per SPSC chunk.
-    pub chunk: usize,
     /// Base seed for the per-worker chunk-shuffle RNGs.
     pub seed: u64,
 }
 
 impl SatConfig {
-    /// The standard N6 geometry: 8 shards of 64-register sketches,
-    /// 1024-update chunks.
+    /// The standard N6 geometry: 8 shards of 64-register sketches.
     pub fn new(threads: usize, seed: u64) -> Self {
         SatConfig {
             threads: threads.max(1),
             shards: 8,
             m: 64,
-            chunk: 1024,
             seed,
         }
     }
@@ -175,15 +174,14 @@ pub fn run_saturation(
             let mut shuffle_rng = StdRng::seed_from_u64(cfg.seed ^ WORKER_SALT ^ worker as u64);
             handles.push(scope.spawn(move || worker_loop(worker, &wcfg, &rx, &mut shuffle_rng)));
         }
-        let mut bufs: Vec<Vec<(SketchKey, u64)>> = (0..threads)
-            .map(|_| Vec::with_capacity(cfg.chunk))
-            .collect();
+        let mut bufs: Vec<Vec<(SketchKey, u64)>> =
+            (0..threads).map(|_| Vec::with_capacity(CHUNK)).collect();
         let mut chunks = 0u64;
         workload.visit(rng, |u| {
             let key = SketchKey::new(u.tenant, u.metric);
             let worker = router.shard_of(key) % threads;
             bufs[worker].push((key, hasher.hash_u64(u.item)));
-            if bufs[worker].len() >= cfg.chunk {
+            if bufs[worker].len() >= CHUNK {
                 chunks += 1;
                 // A send only fails when the worker hung up; that
                 // surfaces as the panic at join below.

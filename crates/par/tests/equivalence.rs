@@ -2,7 +2,7 @@
 //!
 //! * **Thread-count transparency** — the threaded driver's state and
 //!   metric digests are bit-identical at 1, 2, 4, and 8 workers, and
-//!   two same-seed runs at `DHS_THREADS` workers agree completely.
+//!   two same-seed runs at any one of those counts agree completely.
 //! * **Bad geometry is an error** — a `SatConfig` no store accepts comes
 //!   back as `Err` on the caller's thread, never as a panic.
 
@@ -22,34 +22,6 @@ fn small_workload() -> TenantWorkload {
 }
 
 #[test]
-fn two_runs_at_dhs_threads_are_identical() {
-    let threads: usize = std::env::var("DHS_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let workload = small_workload();
-    let run = || {
-        let cfg = SatConfig::new(threads, 0xA11C_E5ED);
-        let mut rng = StdRng::seed_from_u64(0xBEEF);
-        dhs_par::run_saturation(&cfg, &workload, &mut rng).expect("driver runs")
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.state_digest, b.state_digest);
-    assert_eq!(a.metrics_digest(), b.metrics_digest());
-    assert_eq!(a.items, b.items);
-    assert_eq!(a.keys, b.keys);
-    assert_eq!(a.chunks, b.chunks);
-    assert_eq!(a.serial_ticks, b.serial_ticks);
-    assert_eq!(a.parallel_ticks, b.parallel_ticks);
-    for (wa, wb) in a.workers.iter().zip(&b.workers) {
-        assert_eq!(wa.items, wb.items);
-        assert_eq!(wa.keys, wb.keys);
-        assert_eq!(wa.busy_ticks, wb.busy_ticks);
-    }
-}
-
-#[test]
 fn digests_are_invariant_across_thread_counts() {
     let workload = small_workload();
     let run = |threads: usize| {
@@ -61,17 +33,33 @@ fn digests_are_invariant_across_thread_counts() {
     assert_eq!(base.threads, 1);
     // The 1-thread virtual critical path IS the serial path.
     assert!((base.speedup() - 1.0).abs() < f64::EPSILON);
-    for threads in [2usize, 4, 8] {
-        let report = run(threads);
-        assert_eq!(report.state_digest, base.state_digest, "threads={threads}");
+    for threads in [1usize, 2, 4, 8] {
+        let a = run(threads);
+        let b = run(threads);
+        // Across thread counts: the same store state and metrics.
+        assert_eq!(a.state_digest, base.state_digest, "threads={threads}");
         assert_eq!(
-            report.metrics_digest(),
+            a.metrics_digest(),
             base.metrics_digest(),
             "threads={threads}"
         );
-        assert_eq!(report.items, base.items);
-        assert_eq!(report.keys, base.keys);
-        assert!(report.speedup() >= 1.0, "threads={threads}");
+        assert_eq!(a.items, base.items);
+        assert_eq!(a.keys, base.keys);
+        assert!(a.speedup() >= 1.0, "threads={threads}");
+        // Across two runs at one thread count: everything, per worker too.
+        assert_eq!(a.state_digest, b.state_digest, "threads={threads}");
+        assert_eq!(a.metrics_digest(), b.metrics_digest(), "threads={threads}");
+        assert_eq!(a.chunks, b.chunks, "threads={threads}");
+        assert_eq!(a.serial_ticks, b.serial_ticks, "threads={threads}");
+        assert_eq!(a.parallel_ticks, b.parallel_ticks, "threads={threads}");
+        assert_eq!(a.workers.len(), b.workers.len(), "threads={threads}");
+        for (wa, wb) in a.workers.iter().zip(&b.workers) {
+            assert_eq!(wa.worker, wb.worker, "threads={threads}");
+            assert_eq!(wa.items, wb.items, "threads={threads}");
+            assert_eq!(wa.keys, wb.keys, "threads={threads}");
+            assert_eq!(wa.chunks, wb.chunks, "threads={threads}");
+            assert_eq!(wa.busy_ticks, wb.busy_ticks, "threads={threads}");
+        }
     }
 }
 

@@ -14,8 +14,8 @@
 //! * [`ShardedStore`] keeps each shard's sketches in an **arena of
 //!   compressed register tiers** (`dhs_sketch::TieredRegisters`:
 //!   sparse → packed → dense as registers fill), with byte-exact
-//!   **memory-budget accounting**, deterministic LRU / size-weighted
-//!   **eviction**, and **spill-to-cold-tier hooks** ([`ColdTier`]).
+//!   **memory-budget accounting**, deterministic LRU **eviction**, and
+//!   **spill-to-cold-tier hooks** ([`ColdTier`]).
 //!
 //! Determinism is load-bearing everywhere: routing is a pure hash, the
 //! arena and every index iterate in key order, eviction order is a total
@@ -52,7 +52,7 @@ pub mod tenant;
 pub use dht::{flush_batch_to_dht, FlushShipReport};
 pub use router::{FlushBatch, FlushUpdate, ShardRouter};
 pub use store::{
-    ColdTier, DiscardCold, EvictionPolicy, MemoryColdTier, ShardConfig, ShardConfigError,
-    ShardEstimator, ShardStats, ShardedStore, SLOT_OVERHEAD,
+    ColdTier, DiscardCold, MemoryColdTier, ShardConfig, ShardConfigError, ShardStats, ShardedStore,
+    SLOT_OVERHEAD,
 };
 pub use tenant::{classify_hash, SketchKey, TenantId};

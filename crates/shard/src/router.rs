@@ -77,13 +77,6 @@ impl FlushBatch {
         FlushBatch::default()
     }
 
-    /// An empty batch with room for `cap` updates.
-    pub fn with_capacity(cap: usize) -> Self {
-        FlushBatch {
-            updates: Vec::with_capacity(cap),
-        }
-    }
-
     /// Append one `(sketch, bucket, rank)` update.
     pub fn push(&mut self, key: SketchKey, bucket: u16, rank: u8) {
         self.updates.push((key, bucket, rank));

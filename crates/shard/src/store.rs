@@ -12,11 +12,12 @@
 //!   with tier promotions and sparse growth, so `bytes()` is exact at
 //!   every step, and `peak_bytes` records the high-water mark.
 //! * **Eviction** — when a shard exceeds its byte budget, victims are
-//!   chosen from a totally ordered candidate index (policy-defined key,
-//!   ties broken by sketch key), compressed, wire-encoded, and offered to
-//!   the [`ColdTier`]. Identical inputs produce the identical eviction
-//!   sequence — [`ShardedStore::eviction_digest`] folds the sequence into
-//!   one `u64` two runs can compare.
+//!   chosen from a totally ordered candidate index (least recently
+//!   accessed first on a logical clock, ties broken by sketch key),
+//!   compressed, wire-encoded, and offered to the [`ColdTier`].
+//!   Identical inputs produce the identical eviction sequence —
+//!   [`ShardedStore::eviction_digest`] folds the sequence into one `u64`
+//!   two runs can compare.
 //! * **Recovery** — any access (read *or* write) to a non-resident key
 //!   first asks the cold tier; a recovered sketch decodes to exactly the
 //!   bytes that were spilled. With a lossless cold tier
@@ -27,8 +28,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dhs_obs::{names, Fnv1a, Recorder};
+use dhs_sketch::superloglog_estimate_from_registers;
 use dhs_sketch::tiered::{Tier, TieredRegisters};
-use dhs_sketch::{hyperloglog_estimate_from_registers, superloglog_estimate_from_registers};
 
 use crate::router::{FlushBatch, ShardRouter};
 use crate::tenant::{classify_hash, SketchKey};
@@ -37,27 +38,6 @@ use crate::tenant::{classify_hash, SketchKey};
 /// arena slot, the key-index entry, and the victim-index entry.
 pub const SLOT_OVERHEAD: u64 = 64;
 
-/// Which estimator [`ShardedStore::estimate`] applies to the registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardEstimator {
-    /// Durand–Flajolet super-LogLog (truncated mean) — the paper's pick.
-    #[default]
-    SuperLogLog,
-    /// HyperLogLog (harmonic mean).
-    HyperLogLog,
-}
-
-/// Deterministic victim-selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Least-recently-accessed first (logical clock, not wall clock).
-    #[default]
-    Lru,
-    /// Largest resident sketch first (cost-greedy: frees the most bytes
-    /// per eviction), ties broken least-recently-accessed first.
-    SizeWeighted,
-}
-
 /// Configuration of a [`ShardedStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
@@ -65,42 +45,24 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Registers per sketch; a power of two in `2..=65536`.
     pub m: usize,
-    /// Estimator applied to the registers.
-    pub estimator: ShardEstimator,
     /// Per-shard byte budget; `None` disables eviction.
     pub budget_bytes: Option<u64>,
-    /// Victim-selection policy.
-    pub policy: EvictionPolicy,
 }
 
 impl ShardConfig {
     /// A store of `shards` shards with `m`-register sketches, unlimited
-    /// memory, super-LogLog estimates, LRU policy.
+    /// memory.
     pub fn new(shards: usize, m: usize) -> Self {
         ShardConfig {
             shards,
             m,
-            estimator: ShardEstimator::SuperLogLog,
             budget_bytes: None,
-            policy: EvictionPolicy::Lru,
         }
     }
 
     /// Same store, with a per-shard byte budget.
     pub fn with_budget(mut self, bytes: u64) -> Self {
         self.budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Same store, with a different eviction policy.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Same store, with a different estimator.
-    pub fn with_estimator(mut self, estimator: ShardEstimator) -> Self {
-        self.estimator = estimator;
         self
     }
 }
@@ -211,7 +173,7 @@ struct Shard {
     slots: Vec<Option<Slot>>,
     free: Vec<u32>,
     index: BTreeMap<u64, u32>,
-    victims: BTreeSet<(u64, u64, u64)>,
+    victims: BTreeSet<(u64, u64)>,
     bytes: u64,
     peak_bytes: u64,
     inserts: u64,
@@ -331,7 +293,7 @@ impl<C: ColdTier> ShardedStore<C> {
         report
     }
 
-    /// Estimate the cardinality of `key`'s sketch, recovering it from
+    /// Super-LogLog estimate of `key`'s sketch, recovering it from
     /// the cold tier if spilled. `None` if the store has never seen the
     /// key (or eviction discarded it).
     pub fn estimate(&mut self, key: SketchKey, rec: &mut dyn Recorder) -> Option<f64> {
@@ -343,10 +305,7 @@ impl<C: ColdTier> ShardedStore<C> {
             let slot = sh.slots[slot_pos(slot_idx)].as_ref()?;
             slot.regs.register_vec()
         };
-        let est = match self.cfg.estimator {
-            ShardEstimator::SuperLogLog => superloglog_estimate_from_registers(&regs),
-            ShardEstimator::HyperLogLog => hyperloglog_estimate_from_registers(&regs),
-        };
+        let est = superloglog_estimate_from_registers(&regs);
         self.enforce_budget(shard, Some(key), rec);
         Some(est)
     }
@@ -430,16 +389,14 @@ impl<C: ColdTier> ShardedStore<C> {
         let sh = &mut self.shards[shard];
         let slot_idx = *sh.index.get(&key.packed())?;
         let slot = sh.slots[slot_pos(slot_idx)].as_mut()?;
-        let old = victim_entry(self.cfg.policy, &slot.regs, slot.last_access, key.packed());
+        sh.victims.remove(&(slot.last_access, key.packed()));
         slot.last_access = now;
-        let new = victim_entry(self.cfg.policy, &slot.regs, now, key.packed());
-        sh.victims.remove(&old);
-        sh.victims.insert(new);
+        sh.victims.insert((now, key.packed()));
         Some(())
     }
 
     /// Apply one update to `shard` (creating or recovering the sketch as
-    /// needed), keeping accounting and the victim index exact.
+    /// needed), keeping accounting exact.
     fn apply(
         &mut self,
         shard: usize,
@@ -455,7 +412,6 @@ impl<C: ColdTier> ShardedStore<C> {
             let now = self.ticks;
             self.install(shard, key, TieredRegisters::new(self.cfg.m), now);
         }
-        let policy = self.cfg.policy;
         let sh = &mut self.shards[shard];
         // The slot exists after touch/install; treat a miss as a no-op.
         let Some(&slot_idx) = sh.index.get(&key.packed()) else {
@@ -464,17 +420,11 @@ impl<C: ColdTier> ShardedStore<C> {
         let Some(slot) = sh.slots[slot_pos(slot_idx)].as_mut() else {
             return;
         };
-        let old_entry = victim_entry(policy, &slot.regs, slot.last_access, key.packed());
         let old_payload = slot.regs.payload_bytes() as u64;
         let promoted = slot
             .regs
             .observe(usize::from(bucket), rank.saturating_add(1));
         let new_payload = slot.regs.payload_bytes() as u64;
-        let new_entry = victim_entry(policy, &slot.regs, slot.last_access, key.packed());
-        if old_entry != new_entry {
-            sh.victims.remove(&old_entry);
-            sh.victims.insert(new_entry);
-        }
         sh.bytes = sh.bytes + new_payload - old_payload;
         sh.peak_bytes = sh.peak_bytes.max(sh.bytes);
         sh.inserts += 1;
@@ -501,8 +451,7 @@ impl<C: ColdTier> ShardedStore<C> {
             last_access: now,
         };
         let cost = SLOT_OVERHEAD + slot.regs.payload_bytes() as u64;
-        sh.victims
-            .insert(victim_entry(self.cfg.policy, &slot.regs, now, slot.key));
+        sh.victims.insert((now, slot.key));
         let idx = match sh.free.pop() {
             Some(idx) => {
                 sh.slots[slot_pos(idx)] = Some(slot);
@@ -531,14 +480,14 @@ impl<C: ColdTier> ShardedStore<C> {
                 let sh = &self.shards[shard];
                 sh.victims
                     .iter()
-                    .find(|&&(_, _, key)| Some(key) != protect || sh.index.len() == 1)
+                    .find(|&&(_, key)| Some(key) != protect || sh.index.len() == 1)
                     .copied()
             };
             let Some(entry) = victim else {
                 return;
             };
             self.evict(shard, entry, rec);
-            if Some(entry.2) == protect {
+            if Some(entry.1) == protect {
                 // The protected key was the only resident sketch and
                 // still exceeded the budget alone; nothing else to free.
                 return;
@@ -548,8 +497,8 @@ impl<C: ColdTier> ShardedStore<C> {
 
     /// Evict the slot named by `entry` from `shard`: uncharge, compress,
     /// spill, digest.
-    fn evict(&mut self, shard: usize, entry: (u64, u64, u64), rec: &mut dyn Recorder) {
-        let key = entry.2;
+    fn evict(&mut self, shard: usize, entry: (u64, u64), rec: &mut dyn Recorder) {
+        let key = entry.1;
         let sh = &mut self.shards[shard];
         sh.victims.remove(&entry);
         let Some(slot_idx) = sh.index.remove(&key) else {
@@ -576,23 +525,6 @@ impl<C: ColdTier> ShardedStore<C> {
         // cannot fail.
         self.cold
             .spill(SketchKey::from_metric_id(dhs_core::checked_cast(key)), wire);
-    }
-}
-
-/// The victim-index entry for a slot under `policy`: a totally ordered
-/// triple whose minimum is the next eviction victim.
-fn victim_entry(
-    policy: EvictionPolicy,
-    regs: &TieredRegisters,
-    last_access: u64,
-    key: u64,
-) -> (u64, u64, u64) {
-    match policy {
-        EvictionPolicy::Lru => (last_access, 0, key),
-        EvictionPolicy::SizeWeighted => {
-            let cost = SLOT_OVERHEAD + regs.payload_bytes() as u64;
-            (!cost, last_access, key)
-        }
     }
 }
 
@@ -695,37 +627,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats[0].evictions, 2);
         assert!(store.eviction_digest() != Fnv1a::new().finish());
-    }
-
-    #[test]
-    fn size_weighted_evicts_largest_first() {
-        let cfg = ShardConfig::new(1, 256).with_policy(EvictionPolicy::SizeWeighted);
-        let mut store = ShardedStore::new(cfg).unwrap();
-        let mut rec = NoopRecorder;
-        // key(0): large sketch (many registers); key(1), key(2): tiny.
-        for b in 0..64u16 {
-            store.observe(key(0), b, 1, &mut rec);
-        }
-        store.observe(key(1), 0, 1, &mut rec);
-        store.observe(key(2), 0, 1, &mut rec);
-        let total = store.total_bytes();
-        // Now enable the budget via a fresh store? Instead: shrink budget
-        // by rebuilding with one below current total and replaying — the
-        // cheaper direct route is to set the budget from the start.
-        let cfg = ShardConfig::new(1, 256)
-            .with_policy(EvictionPolicy::SizeWeighted)
-            .with_budget(total - 1);
-        let mut store = ShardedStore::new(cfg).unwrap();
-        for b in 0..64u16 {
-            store.observe(key(0), b, 1, &mut rec);
-        }
-        store.observe(key(1), 0, 1, &mut rec);
-        store.observe(key(2), 0, 1, &mut rec);
-        // The large sketch is the victim despite being recently touched
-        // *before* key(1)/key(2) were added.
-        assert!(!store.contains(key(0)), "largest evicted first");
-        assert!(store.contains(key(1)));
-        assert!(store.contains(key(2)));
     }
 
     #[test]

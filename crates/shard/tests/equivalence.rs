@@ -13,9 +13,7 @@
 //!   invisible to readers.
 
 use dhs_obs::NoopRecorder;
-use dhs_shard::{
-    classify_hash, EvictionPolicy, MemoryColdTier, ShardConfig, ShardedStore, SketchKey,
-};
+use dhs_shard::{classify_hash, MemoryColdTier, ShardConfig, ShardedStore, SketchKey};
 use dhs_sketch::{ItemHasher, SplitMix64};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -104,16 +102,8 @@ proptest! {
     fn eviction_order_is_deterministic(
         seed in any::<u64>(),
         shards in 1usize..5,
-        policy_size_weighted in any::<bool>(),
     ) {
-        let policy = if policy_size_weighted {
-            EvictionPolicy::SizeWeighted
-        } else {
-            EvictionPolicy::Lru
-        };
-        let cfg = ShardConfig::new(shards, 64)
-            .with_budget(600)
-            .with_policy(policy);
+        let cfg = ShardConfig::new(shards, 64).with_budget(600);
         let updates = stream(seed, 500, 3, 64);
         let run = || {
             let mut store = ShardedStore::new(cfg).unwrap();

@@ -87,16 +87,6 @@ impl Pcsa {
     pub fn set_bit(&mut self, i: usize, rank: u32) {
         self.bitmaps.set(i, rank);
     }
-
-    /// The estimate *without* the `1 + 0.31/m` bias division (the raw
-    /// FM formula), exposed for calibration experiments.
-    pub fn estimate_uncorrected(&self) -> f64 {
-        let m = self.buckets() as f64;
-        let sum: f64 = (0..self.buckets())
-            .map(|i| f64::from(self.bitmaps.lowest_zero(i)))
-            .sum();
-        m / PCSA_PHI * 2f64.powf(sum / m)
-    }
 }
 
 impl CardinalityEstimator for Pcsa {

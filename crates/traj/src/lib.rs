@@ -6,9 +6,9 @@
 //! and no committed record that would catch a silent perf regression.
 //! This crate closes that loop:
 //!
-//! - [`AblationPlan`] — pure-data factor sweeps (grid or centered
-//!   Latin-hypercube) with fixed parameters and declared KPIs, expanded
-//!   deterministically and fingerprinted by an FNV [`plan_hash`].
+//! - [`AblationPlan`] — pure-data factor grids with fixed parameters and
+//!   declared KPIs, expanded deterministically and fingerprinted by an
+//!   FNV [`plan_hash`].
 //! - [`run_ablation`] — executes a plan through a caller-supplied
 //!   [`JobRunner`], extracts each KPI from the job's
 //!   `dhs_obs::MetricsRegistry` ([`KpiSource`]), judges it against its
@@ -22,8 +22,7 @@
 //! - [`registry_query`] — sorted, aligned trajectory tables for humans.
 //!
 //! Determinism discipline matches the rest of the workspace: `BTreeMap`
-//! everywhere, no wall clocks or OS entropy (LHS permutation comes from
-//! a SplitMix64 stream seeded by plan hash + master seed), and every job
+//! everywhere, no wall clocks or OS entropy, and every job
 //! shares one master seed (common random numbers) so KPI deltas measure
 //! factors, not draws.
 //!
@@ -39,8 +38,7 @@ pub mod run;
 pub mod tolerance;
 
 pub use plan::{
-    params_string, AblationPlan, FactorValue, JobParams, KpiSource, KpiSpec, Mode, PlanError,
-    MAX_JOBS,
+    params_string, AblationPlan, FactorValue, JobParams, KpiSource, KpiSpec, PlanError, MAX_JOBS,
 };
 pub use registry::{registry_query, GateViolation, ParseError, Registry, Row, HEADER};
 pub use run::{

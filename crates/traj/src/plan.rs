@@ -1,12 +1,10 @@
 //! Ablation plans: ordered factor sweeps with declared KPIs.
 //!
-//! A plan is pure data — factor grids (or Latin-hypercube bounds) in a
-//! `BTreeMap`, fixed parameters, and the KPI extraction/tolerance
-//! declarations — so two processes holding the same plan expand the same
-//! job list in the same order and agree on its [`plan_hash`]. Nothing in
-//! here reads a clock or OS entropy: LHS sampling uses centered strata
-//! permuted by a SplitMix64 stream seeded from the plan hash and the
-//! caller's seed.
+//! A plan is pure data — factor grids in a `BTreeMap`, fixed parameters,
+//! and the KPI extraction/tolerance declarations — so two processes
+//! holding the same plan expand the same job list in the same order and
+//! agree on its [`plan_hash`]. Nothing in here reads a clock or OS
+//! entropy.
 //!
 //! [`plan_hash`]: AblationPlan::plan_hash
 
@@ -58,22 +56,6 @@ impl fmt::Display for FactorValue {
             FactorValue::Float(v) => write!(f, "{v}"),
         }
     }
-}
-
-/// How a plan turns its factors into jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Cartesian product of every factor's value list, expanded in
-    /// factor-name order (the `BTreeMap` order — insertion order is
-    /// irrelevant by construction).
-    Grid,
-    /// Centered Latin-hypercube sampling: each factor gives `[min, max]`
-    /// bounds and each of `samples` jobs draws one stratum per factor,
-    /// permuted deterministically.
-    Lhs {
-        /// Number of jobs (= strata per factor).
-        samples: usize,
-    },
 }
 
 /// Where one KPI's value comes from in a job's metric registry.
@@ -147,14 +129,12 @@ pub fn params_string(params: &JobParams) -> String {
 pub enum PlanError {
     /// The plan has no name.
     EmptyName,
-    /// A factor has no values (grid) or not exactly two bounds (LHS).
+    /// A factor has no values.
     BadFactor(String),
     /// A factor or fixed value is NaN or infinite.
     NonFiniteValue(String),
     /// A name appears in both `factors` and `fixed`.
     Overlap(String),
-    /// LHS mode with zero samples.
-    NoSamples,
     /// Expansion would exceed [`MAX_JOBS`].
     TooManyJobs(usize),
     /// The plan declares no KPIs.
@@ -168,7 +148,6 @@ impl fmt::Display for PlanError {
             PlanError::BadFactor(n) => write!(f, "factor {n:?} has an invalid value list"),
             PlanError::NonFiniteValue(n) => write!(f, "parameter {n:?} has a non-finite value"),
             PlanError::Overlap(n) => write!(f, "{n:?} is both a factor and a fixed parameter"),
-            PlanError::NoSamples => write!(f, "lhs mode needs samples >= 1"),
             PlanError::TooManyJobs(n) => write!(f, "plan expands to {n} jobs (max {MAX_JOBS})"),
             PlanError::NoKpis => write!(f, "plan declares no KPIs"),
         }
@@ -180,9 +159,7 @@ impl fmt::Display for PlanError {
 pub struct AblationPlan {
     /// Unique plan identifier (registry rows carry it).
     pub name: String,
-    /// Grid or LHS execution.
-    pub mode: Mode,
-    /// Ordered factors to sweep: value lists (grid) or bounds (LHS).
+    /// Ordered factors to sweep, each with its value list.
     pub factors: BTreeMap<String, Vec<FactorValue>>,
     /// Parameters held constant across every job.
     pub fixed: BTreeMap<String, FactorValue>,
@@ -195,22 +172,13 @@ impl AblationPlan {
     pub fn grid(name: &str) -> Self {
         AblationPlan {
             name: name.to_string(),
-            mode: Mode::Grid,
             factors: BTreeMap::new(),
             fixed: BTreeMap::new(),
             kpis: BTreeMap::new(),
         }
     }
 
-    /// An empty LHS plan named `name` drawing `samples` jobs.
-    pub fn lhs(name: &str, samples: usize) -> Self {
-        AblationPlan {
-            mode: Mode::Lhs { samples },
-            ..Self::grid(name)
-        }
-    }
-
-    /// Add a factor with its value list (grid) or `[min, max]` (LHS).
+    /// Add a factor with its value list.
     pub fn factor(mut self, name: &str, values: Vec<FactorValue>) -> Self {
         self.factors.insert(name.to_string(), values);
         self
@@ -241,11 +209,7 @@ impl AblationPlan {
             if self.fixed.contains_key(name) {
                 return Err(PlanError::Overlap(name.clone()));
             }
-            let shape_ok = match self.mode {
-                Mode::Grid => !values.is_empty(),
-                Mode::Lhs { .. } => values.len() == 2,
-            };
-            if !shape_ok {
+            if values.is_empty() {
                 return Err(PlanError::BadFactor(name.clone()));
             }
             for v in values {
@@ -259,22 +223,14 @@ impl AblationPlan {
                 return Err(PlanError::NonFiniteValue(name.clone()));
             }
         }
-        if let Mode::Lhs { samples } = self.mode {
-            if samples == 0 {
-                return Err(PlanError::NoSamples);
-            }
-        }
         Ok(())
     }
 
     /// Canonical textual form of the whole plan — the hash input, and a
     /// stable fingerprint for humans diffing two plans.
     pub fn canonical(&self) -> String {
-        let mut s = format!("plan:{}\n", self.name);
-        match self.mode {
-            Mode::Grid => s.push_str("mode:grid\n"),
-            Mode::Lhs { samples } => s.push_str(&format!("mode:lhs:{samples}\n")),
-        }
+        // Every plan is a grid; the line keeps plan hashes stable.
+        let mut s = format!("plan:{}\nmode:grid\n", self.name);
         for (name, values) in &self.factors {
             let vs: Vec<String> = values.iter().map(|v| v.to_string()).collect();
             s.push_str(&format!("factor:{name}=[{}]\n", vs.join(",")));
@@ -299,19 +255,10 @@ impl AblationPlan {
         format!("{:016x}", h.finish())
     }
 
-    /// Expand the plan into its job list. Grid plans cartesian-expand in
-    /// factor-name order (last factor varies fastest); LHS plans draw
-    /// `samples` centered Latin-hypercube points with permutations seeded
-    /// from the plan hash and `seed`.
-    pub fn expand(&self, seed: u64) -> Result<Vec<JobParams>, PlanError> {
+    /// Expand the plan into its job list: the cartesian product of the
+    /// factors in factor-name order (last factor varies fastest).
+    pub fn expand(&self) -> Result<Vec<JobParams>, PlanError> {
         self.validate()?;
-        match self.mode {
-            Mode::Grid => self.expand_grid(),
-            Mode::Lhs { samples } => self.expand_lhs(samples, seed),
-        }
-    }
-
-    fn expand_grid(&self) -> Result<Vec<JobParams>, PlanError> {
         let names: Vec<&String> = self.factors.keys().collect();
         let lists: Vec<&Vec<FactorValue>> = self.factors.values().collect();
         let mut total: usize = 1;
@@ -345,66 +292,6 @@ impl AblationPlan {
         }
         Ok(jobs)
     }
-
-    // Int-bound rounding: v is inside [lo, hi] ⊂ i64 by construction.
-    #[allow(clippy::cast_possible_truncation)]
-    fn expand_lhs(&self, samples: usize, seed: u64) -> Result<Vec<JobParams>, PlanError> {
-        if samples > MAX_JOBS {
-            return Err(PlanError::TooManyJobs(samples));
-        }
-        let mut h = Fnv1a::new();
-        h.update(self.canonical().as_bytes());
-        h.update(&seed.to_le_bytes());
-        let base_state = h.finish();
-
-        let mut jobs: Vec<JobParams> = vec![self.fixed.clone(); samples];
-        for (name, bounds) in &self.factors {
-            let (lo, hi) = (bounds[0], bounds[1]);
-            let (lo_f, hi_f) = (lo.as_f64(), hi.as_f64());
-            let perm = permutation(samples, base_state, name);
-            for (job, &stratum) in jobs.iter_mut().zip(perm.iter()) {
-                // Centered stratum: midpoint of slice `stratum` of
-                // `samples` equal slices of [lo, hi].
-                let t = (stratum as f64 + 0.5) / samples as f64;
-                let v = lo_f + t * (hi_f - lo_f);
-                let value = match (lo, hi) {
-                    // Integer bounds produce integer samples.
-                    (FactorValue::Int(_), FactorValue::Int(_)) => {
-                        FactorValue::Int(v.round() as i64)
-                    }
-                    _ => FactorValue::Float(v),
-                };
-                job.insert(name.clone(), value);
-            }
-        }
-        Ok(jobs)
-    }
-}
-
-/// SplitMix64 step (Steele et al.) — the workspace's standard tiny PRNG.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Deterministic Fisher–Yates permutation of `0..n`, streamed from
-/// `base_state` xored with the factor name's FNV.
-#[allow(clippy::cast_possible_truncation)]
-fn permutation(n: usize, base_state: u64, factor: &str) -> Vec<usize> {
-    let mut h = Fnv1a::new();
-    h.update(factor.as_bytes());
-    let mut state = base_state ^ h.finish();
-    let mut perm: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        // Modulo bias is irrelevant at these sizes.
-        // dhs-lint: allow(lossy_cast) — value already reduced mod i+1 ≤ n.
-        let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    perm
 }
 
 #[cfg(test)]
@@ -421,7 +308,7 @@ mod tests {
 
     #[test]
     fn grid_expands_in_name_order_last_factor_fastest() {
-        let jobs = plan().expand(0).unwrap();
+        let jobs = plan().expand().unwrap();
         assert_eq!(jobs.len(), 2);
         assert_eq!(params_string(&jobs[0]), "a=1;b=0.5;c=7");
         assert_eq!(params_string(&jobs[1]), "a=2;b=0.5;c=7");
@@ -433,29 +320,6 @@ mod tests {
         assert_eq!(p.plan_hash(), p.clone().plan_hash());
         let q = plan().fix("d", FactorValue::Int(1));
         assert_ne!(p.plan_hash(), q.plan_hash());
-    }
-
-    #[test]
-    #[allow(clippy::cast_possible_truncation)]
-    fn lhs_covers_every_stratum_once_per_factor() {
-        let p = AblationPlan::lhs("l", 8)
-            .factor("x", vec![FactorValue::Float(0.0), FactorValue::Float(1.0)])
-            .factor("n", vec![FactorValue::Int(0), FactorValue::Int(700)])
-            .kpi("k", KpiSource::Counter("c".into()), Tolerance::default());
-        let jobs = p.expand(42).unwrap();
-        assert_eq!(jobs.len(), 8);
-        // Every job's x lands in a distinct one of 8 strata of [0, 1].
-        let mut strata: Vec<usize> = jobs
-            .iter()
-            .map(|j| (j["x"].as_f64() * 8.0).floor() as usize)
-            .collect();
-        strata.sort_unstable();
-        assert_eq!(strata, (0..8).collect::<Vec<_>>());
-        // Integer bounds produce integers.
-        assert!(jobs.iter().all(|j| j["n"].as_i64().is_some()));
-        // Same seed, same draw; different seed, different assignment.
-        assert_eq!(jobs, p.expand(42).unwrap());
-        assert_ne!(jobs, p.expand(43).unwrap());
     }
 
     #[test]

@@ -261,7 +261,7 @@ pub fn run_ablation(
     tool: &str,
     rec: &mut dyn Recorder,
 ) -> Result<AblationReport, PlanError> {
-    let job_params = plan.expand(seed)?;
+    let job_params = plan.expand()?;
     let mut jobs = Vec::with_capacity(job_params.len());
     for params in job_params {
         rec.incr(names::TRAJ_JOB, 1);

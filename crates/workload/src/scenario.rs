@@ -47,26 +47,6 @@ impl PaperScenario {
             ..Self::default()
         }
     }
-
-    /// A small configuration for fast tests (64 nodes, small relations).
-    pub fn test_scale() -> Self {
-        PaperScenario {
-            nodes: 64,
-            bitmaps: 64,
-            scale: 0.0005,
-            ..Self::default()
-        }
-    }
-
-    /// The §5 query-processing case study setting (256 nodes; the FREddies
-    /// report \[17\] uses
-    /// four relations of 256 000 tuples each, 100 tuples per node).
-    pub fn queryopt_scale() -> Self {
-        PaperScenario {
-            nodes: 256,
-            ..Self::default()
-        }
-    }
 }
 
 #[cfg(test)]

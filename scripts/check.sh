@@ -31,6 +31,15 @@ if git grep -nE 'Instant::now|SystemTime::now' -- crates src examples tests ':!c
   exit 1
 fi
 
+# No settings through the environment: a knob is a constant or a
+# parameter. The one variable read is `DHS_COMMIT`, the provenance stamp
+# (dhs-lint and the vendored shims keep their own).
+if git grep -nE 'env::var' -- crates src examples tests ':!crates/lint' ':!crates/shims' \
+  ':!crates/bench/src/provenance.rs'; then
+  echo "an environment variable is read outside crates/bench/src/provenance.rs" >&2
+  exit 1
+fi
+
 # Static-analysis gate first: dhs-lint enforces determinism, lossy-cast,
 # metric-name, and panic-hygiene invariants (see DESIGN.md). Its JSONL
 # must also be byte-identical across two runs — the lint polices

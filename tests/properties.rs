@@ -133,7 +133,7 @@ proptest! {
         let interval = interval_for_rank(&cfg, rank);
         prop_assert!(interval.contains(id), "id {id} rank {rank}");
         // And no other interval contains it.
-        for r in cfg.bit_shift..cfg.scan_bits() {
+        for r in cfg.bit_shift..cfg.k {
             if r != rank {
                 prop_assert!(!interval_for_rank(&cfg, r).contains(id));
             }
