@@ -231,17 +231,6 @@ impl DhsConfig {
         self.k - self.bit_shift
     }
 
-    /// The minimum hash length the paper's eq. 3 prescribes for counting
-    /// up to `n_max`: `H₀ = log2(m) + ⌈log2(n_max/m) + 3⌉`.
-    #[allow(clippy::cast_possible_truncation)]
-    pub fn required_hash_bits(m: usize, n_max: u64) -> u32 {
-        let c = (m as f64).log2();
-        let per_bucket = (n_max as f64 / m as f64).max(1.0);
-        // dhs-lint: allow(lossy_cast) — float→int: a bit-position budget
-        // (≤ 64 plus a small constant), nowhere near u32::MAX.
-        (c + (per_bucket.log2() + 3.0).ceil()) as u32
-    }
-
     /// Probe response size in bytes when reporting `metrics` metrics: the
     /// fixed header plus one presence bit per vector per metric.
     pub fn response_bytes(&self, metrics: usize) -> u64 {
@@ -368,16 +357,6 @@ mod tests {
             ..DhsConfig::default()
         };
         assert!(matches!(cfg.validate(), Err(ConfigError::ZeroReplication)));
-    }
-
-    #[test]
-    fn eq3_hash_length() {
-        // Paper example shape: counting 4 billion items with m = 512 needs
-        // 9 + ⌈log2(4e9/512) + 3⌉ = 9 + 26 = 35 bits.
-        let h0 = DhsConfig::required_hash_bits(512, 4_000_000_000);
-        assert_eq!(h0, 35);
-        // Small caes degrade gracefully.
-        assert!(DhsConfig::required_hash_bits(8, 8) >= 6);
     }
 
     #[test]

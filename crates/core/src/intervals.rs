@@ -45,11 +45,6 @@ impl IdInterval {
     pub fn size(&self) -> f64 {
         (self.hi - self.lo) as f64 + 1.0
     }
-
-    /// Expected number of nodes inside, for `n_nodes` uniform node ids.
-    pub fn expected_nodes(&self, n_nodes: usize) -> f64 {
-        self.size() / 2f64.powi(64) * n_nodes as f64
-    }
 }
 
 /// The Alg. 1 walk order inside one interval, with no borrow of the
@@ -230,14 +225,6 @@ mod tests {
     fn rank_below_bit_shift_panics() {
         let cfg = cfg_with(24, 512, 4);
         interval_for_rank(&cfg, 3);
-    }
-
-    #[test]
-    fn expected_nodes_matches_fraction() {
-        let iv = interval_at(0, 15);
-        assert!((iv.expected_nodes(1024) - 512.0).abs() < 1.0);
-        let iv = interval_at(3, 15);
-        assert!((iv.expected_nodes(1024) - 64.0).abs() < 1.0);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //!
 //! The TTL trade-off the paper describes: long TTLs mean fewer refresh
 //! messages per time unit but slower adaptation when the counted quantity
-//! shrinks; short TTLs adapt fast but cost bandwidth. The
-//! [`refresh_cost_per_time`] helper quantifies the maintenance side.
+//! shrinks; short TTLs adapt fast but cost bandwidth.
 
-use dhs_obs::{names, NoopRecorder, Recorder};
+use dhs_obs::names;
 use rand::Rng;
 
 use dhs_dht::cost::CostLedger;
@@ -22,7 +21,7 @@ use dhs_dht::overlay::Overlay;
 use crate::config::DhsConfig;
 use crate::fast::EpochCache;
 use crate::insert::Dhs;
-use crate::transport::{end_span, start_span, DirectTransport, MessageKind, Transport};
+use crate::transport::{end_span, start_span, DirectTransport, Transport};
 use crate::tuple::MetricId;
 
 /// One maintenance round: the owner of `item_keys` re-inserts them all
@@ -146,18 +145,6 @@ pub fn repair_replicas(
     ring: &mut dhs_dht::ring::Ring,
     ledger: &mut CostLedger,
 ) -> usize {
-    repair_replicas_observed(dhs, ring, ledger, &mut NoopRecorder)
-}
-
-/// [`repair_replicas`], reporting each re-pushed copy as a delivered store
-/// message into `obs` (so repair traffic feeds the load monitor) plus an
-/// `op.repair.pushes` counter. Identical ledger charges and ring effects.
-pub fn repair_replicas_observed(
-    dhs: &Dhs,
-    ring: &mut dhs_dht::ring::Ring,
-    ledger: &mut CostLedger,
-    obs: &mut dyn Recorder,
-) -> usize {
     let replication = dhs.config().replication;
     if replication <= 1 {
         return 0;
@@ -204,21 +191,8 @@ pub fn repair_replicas_observed(
         ledger.charge_message(0);
         ledger.charge_bytes(u64::from(DhsConfig::TUPLE_BYTES));
         ledger.record_visit(target);
-        obs.delivered(MessageKind::Store.tag(), target);
     }
-    obs.incr(names::OP_REPAIR_PUSHES, copies as u64);
     copies
-}
-
-/// Expected maintenance bandwidth per logical-time unit for a node that
-/// owns `distinct_tuples` live tuples, refreshing every `period` time
-/// units with [`DhsConfig::TUPLE_BYTES`]-byte tuples over `avg_hops`-hop
-/// routes.
-///
-/// `period` must be ≤ the TTL for the data to stay alive.
-pub fn refresh_cost_per_time(distinct_tuples: usize, avg_hops: f64, period: u64) -> f64 {
-    assert!(period > 0);
-    distinct_tuples as f64 * f64::from(DhsConfig::TUPLE_BYTES) * avg_hops / period as f64
 }
 
 #[cfg(test)]
@@ -389,14 +363,5 @@ mod tests {
             &mut CostLedger::new(),
         );
         assert_eq!(maintenance_repair(&dhs, &mut ring), 0);
-    }
-
-    #[test]
-    fn refresh_cost_formula() {
-        // 1000 tuples, 8 bytes, 3.4 hops, period 100 → 272 bytes/unit.
-        let c = refresh_cost_per_time(1000, 3.4, 100);
-        assert!((c - 272.0).abs() < 1e-9);
-        // Longer period ⇒ cheaper.
-        assert!(refresh_cost_per_time(1000, 3.4, 200) < c);
     }
 }

@@ -43,15 +43,6 @@ pub fn cw_contains(from: u64, to: u64, x: u64) -> bool {
     }
 }
 
-/// Whether `x` lies in the half-open *linear* interval `[lo, hi)`.
-///
-/// DHS's bit-to-interval mapping (`I_r = [thr(r), thr(r-1))`) is linear,
-/// not circular: intervals never wrap.
-#[inline]
-pub fn linear_contains(lo: u64, hi: u64, x: u64) -> bool {
-    lo <= x && x < hi
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,13 +80,5 @@ mod tests {
         assert!(cw_contains(5, 5, 5));
         assert!(cw_contains(5, 5, 0));
         assert!(cw_contains(5, 5, u64::MAX));
-    }
-
-    #[test]
-    fn linear_interval() {
-        assert!(linear_contains(10, 20, 10));
-        assert!(linear_contains(10, 20, 19));
-        assert!(!linear_contains(10, 20, 20));
-        assert!(!linear_contains(10, 20, 9));
     }
 }

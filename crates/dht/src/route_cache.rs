@@ -17,9 +17,8 @@
 //! a node that no longer owns the key — joins that split a cached range
 //! and departures of a cached owner are both caught, the entry is
 //! evicted, and the full route re-primes the cache. Explicit
-//! [`CachedOverlay::invalidate_node`] / [`CachedOverlay::clear_cache`]
-//! hooks let churn-aware callers drop entries eagerly instead of paying
-//! the one-hop stale contact.
+//! [`CachedOverlay::invalidate_node`] hook lets churn-aware callers drop
+//! entries eagerly instead of paying the one-hop stale contact.
 //!
 //! Because `owner_of` stays authoritative (it never consults the cache),
 //! everything *stored or fetched* through a `CachedOverlay` lands exactly
@@ -48,8 +47,7 @@ pub struct RouteCacheStats {
     /// Cached entries dropped because the contacted owner no longer
     /// owned the key (departed, or a join split its range).
     pub stale_evictions: u64,
-    /// Entries dropped through [`RouteCache::invalidate_node`] /
-    /// [`RouteCache::clear`].
+    /// Entries dropped through [`RouteCache::invalidate_node`].
     pub invalidations: u64,
 }
 
@@ -161,12 +159,6 @@ impl RouteCache {
         self.entries.retain(|e| e.owner != node && e.pred != node);
         self.stats.invalidations += (before - self.entries.len()) as u64;
     }
-
-    /// Drop everything (e.g. after a churn burst).
-    pub fn clear(&mut self) {
-        self.stats.invalidations += self.entries.len() as u64;
-        self.entries.clear();
-    }
 }
 
 impl Default for RouteCache {
@@ -217,11 +209,6 @@ impl<O: Overlay> CachedOverlay<O> {
     /// Churn hook: forget every cached range involving `node`.
     pub fn invalidate_node(&self, node: u64) {
         self.cache.borrow_mut().invalidate_node(node);
-    }
-
-    /// Forget all cached ranges.
-    pub fn clear_cache(&self) {
-        self.cache.borrow_mut().clear();
     }
 }
 

@@ -125,23 +125,6 @@ pub fn hash_join(
     DistributedRelation { partitions }
 }
 
-/// Execute a left-deep chain join and return the final result plus the
-/// shipped bytes (from a private ledger, so callers get the execution
-/// cost isolated).
-pub fn execute_chain(
-    ring: &Ring,
-    relations: &[&DistributedRelation],
-    tuple_bytes: u64,
-) -> (DistributedRelation, u64) {
-    assert!(relations.len() >= 2);
-    let mut ledger = CostLedger::new();
-    let mut acc = relations[0].clone();
-    for right in &relations[1..] {
-        acc = hash_join(ring, &acc, right, tuple_bytes, &mut ledger);
-    }
-    (acc, ledger.bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,35 +201,6 @@ mod tests {
             (0.5..2.0).contains(&ratio),
             "measured {measured:.0} vs model {model:.0} (ratio {ratio})"
         );
-    }
-
-    #[test]
-    fn chain_execution_matches_chained_algebra() {
-        let (ring, a, b, mut rng) = setup();
-        let c = Relation::generate(
-            &RelationSpec {
-                name: "C",
-                paper_tuples: 1_000,
-                domain: 200,
-                theta: 1.2,
-            },
-            1.0,
-            3,
-            &mut rng,
-        );
-        let da = DistributedRelation::scatter(&a, &ring, &mut rng);
-        let db = DistributedRelation::scatter(&b, &ring, &mut rng);
-        let dc = DistributedRelation::scatter(&c, &ring, &mut rng);
-        let (result, bytes) = execute_chain(&ring, &[&dc, &da, &db], 1024);
-        let fab =
-            crate::query::exact_join_frequencies(&c.value_frequencies(), &a.value_frequencies());
-        let expected: u64 = fab
-            .iter()
-            .zip(&b.value_frequencies())
-            .map(|(&x, &y)| x * y)
-            .sum();
-        assert_eq!(result.len() as u64, expected);
-        assert!(bytes > 0);
     }
 
     #[test]

@@ -19,9 +19,6 @@
 //! * [`optimizer`] — a Selinger-style join-order optimizer over a
 //!   shipped-bytes cost model, reproducing the paper's §5 "Histograms and
 //!   Query Processing" case study (PIER/FREddies setting).
-//! * [`advanced`] — v-optimal, maxdiff and compressed histograms derived
-//!   locally from a reconstructed equi-width histogram (the paper's
-//!   footnote-5 future work).
 //! * [`executor`] — a distributed hash-join *executor* that grounds the
 //!   optimizer's cost model: tuples are actually routed and joined on
 //!   the simulated overlay, and shipped bytes are ledger-measured.
@@ -29,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advanced;
 pub mod buckets;
 pub mod dhs_histogram;
 pub mod exact;
@@ -38,7 +34,6 @@ pub mod optimizer;
 pub mod query;
 pub mod selectivity;
 
-pub use advanced::VariableHistogram;
 pub use buckets::BucketSpec;
 pub use dhs_histogram::DhsHistogram;
 pub use exact::ExactHistogram;

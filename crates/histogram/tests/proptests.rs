@@ -1,7 +1,6 @@
 #![allow(clippy::cast_possible_truncation)] // test data has known ranges
 //! Property-based tests for the histogram crate.
 
-use dhs_histogram::advanced::{maxdiff, v_optimal};
 use dhs_histogram::buckets::BucketSpec;
 use dhs_histogram::query::{exact_join_size, join_size};
 use dhs_histogram::selectivity::Selectivity;
@@ -86,40 +85,5 @@ proptest! {
         let max_a = *a.iter().max().unwrap();
         let sum_b: u64 = b.iter().sum();
         prop_assert!(size <= max_a * sum_b);
-    }
-
-    /// V-optimal never loses to maxdiff on the SSE objective, for
-    /// arbitrary cell sequences; both conserve the total mass.
-    #[test]
-    fn v_optimal_dominates_maxdiff(
-        cells in prop::collection::vec(0.0f64..1e4, 4..30),
-        target_frac in 0.2f64..0.9,
-    ) {
-        let n = cells.len();
-        let target = ((n as f64 * target_frac) as usize).clamp(1, n);
-        let spec = BucketSpec::new(0, (n * 10 - 1) as u32, n as u32, 0);
-        let vo = v_optimal(&spec, &cells, target);
-        let md = maxdiff(&spec, &cells, target);
-        let total: f64 = cells.iter().sum();
-        prop_assert!((vo.total() - total).abs() < 1e-6 * (1.0 + total));
-        prop_assert!((md.total() - total).abs() < 1e-6 * (1.0 + total));
-        let sse_vo = vo.sse_against_cells(&spec, &cells);
-        let sse_md = md.sse_against_cells(&spec, &cells);
-        prop_assert!(
-            sse_vo <= sse_md + 1e-6 * (1.0 + sse_md),
-            "v-optimal {sse_vo} vs maxdiff {sse_md}"
-        );
-    }
-
-    /// Variable histograms report consistent ranges: the full-domain
-    /// range equals the total.
-    #[test]
-    fn variable_range_consistent(cells in prop::collection::vec(0.0f64..1e4, 4..20)) {
-        let n = cells.len();
-        let spec = BucketSpec::new(0, (n * 10 - 1) as u32, n as u32, 0);
-        let h = v_optimal(&spec, &cells, (n / 2).max(1));
-        let full = h.range(0, (n * 10) as u32);
-        prop_assert!((full - h.total()).abs() < 1e-6 * (1.0 + h.total()));
-        prop_assert_eq!(h.range(50, 50), 0.0);
     }
 }

@@ -152,15 +152,6 @@ impl NetTelemetry {
         self.records.iter().filter(|r| r.duplicate).count() as u64
     }
 
-    /// Wire bytes of delivered copies.
-    pub fn bytes_delivered(&self) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.outcome, Outcome::Delivered { .. }))
-            .map(|r| r.bytes)
-            .sum()
-    }
-
     /// Mean end-to-end latency of delivered copies, in ticks.
     pub fn mean_latency(&self) -> f64 {
         let (mut sum, mut n) = (0u64, 0u64);
@@ -298,7 +289,6 @@ mod tests {
         assert_eq!(t.dropped(), 1);
         assert_eq!(t.dropped_by(DropReason::Loss), 1);
         assert_eq!(t.dropped_by(DropReason::Crash), 0);
-        assert_eq!(t.bytes_delivered(), 16);
         assert_eq!(t.mean_latency(), 10.0);
     }
 

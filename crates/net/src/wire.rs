@@ -56,15 +56,6 @@ impl MessageSizes {
     pub fn store(&self, tuples: usize) -> u64 {
         self.tuple * tuples as u64
     }
-
-    /// An owner-batched store: tuple groups for several ranks, all owned
-    /// by one node, ride a single message. The payload is the sum of the
-    /// groups' tuples; the per-message overhead (charged separately by
-    /// the transport) is paid once instead of once per group — exactly
-    /// the saving `Dhs::store_groups_via` realizes under every bulk insert.
-    pub fn store_batch(&self, group_sizes: &[usize]) -> u64 {
-        self.store(group_sizes.iter().sum())
-    }
 }
 
 #[cfg(test)]
@@ -81,20 +72,6 @@ mod tests {
         assert_eq!(sizes.probe_reply(&cfg, 2), cfg.response_bytes(2));
         // sLL wire format: 4-byte header + m registers.
         assert_eq!(sizes.sketch_snapshot, 4 + 512);
-    }
-
-    #[test]
-    fn batched_store_carries_the_same_bytes_once() {
-        let sizes = MessageSizes::for_config(&DhsConfig::default());
-        // Payload equals the sum of the individual stores…
-        assert_eq!(
-            sizes.store_batch(&[3, 1, 2]),
-            sizes.store(3) + sizes.store(1) + sizes.store(2)
-        );
-        // …but it is one message where the unbatched path sends three
-        // (the transport charges per-message overhead per send).
-        assert_eq!(sizes.store_batch(&[]), 0);
-        assert_eq!(sizes.store_batch(&[5]), sizes.store(5));
     }
 
     #[test]

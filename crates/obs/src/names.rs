@@ -47,8 +47,6 @@ pub const OP_COUNT_PROBES: &str = "op.count.probes";
 pub const OP_REFRESH: &str = "op.refresh";
 /// Tuples re-stored by refresh rounds.
 pub const OP_REFRESH_TUPLES: &str = "op.refresh.tuples";
-/// Replica copies re-pushed by anti-entropy repair.
-pub const OP_REPAIR_PUSHES: &str = "op.repair.pushes";
 /// Stores whose every transport attempt timed out (tuples lost).
 pub const OP_STORE_LOST: &str = "op.store.lost";
 
@@ -166,10 +164,6 @@ pub const SHARD_OBSERVE: &str = "shard.observe";
 pub const SHARD_FLUSH: &str = "shard.flush";
 /// Updates one shard received from one flush batch (histogram).
 pub const SHARD_FLUSH_BATCH: &str = "shard.flush.batch";
-/// Resident sketches per shard at snapshot time (histogram).
-pub const SHARD_OCCUPANCY: &str = "shard.occupancy";
-/// Accounted bytes per shard at snapshot time (histogram).
-pub const SHARD_BYTES: &str = "shard.bytes";
 /// Register payload bytes of one resident sketch (histogram).
 pub const SHARD_SKETCH_BYTES: &str = "shard.sketch.bytes";
 /// Sketches evicted to enforce a shard's memory budget.
@@ -297,7 +291,6 @@ pub const ALL: &[&str] = &[
     OP_COUNT_PROBES,
     OP_REFRESH,
     OP_REFRESH_TUPLES,
-    OP_REPAIR_PUSHES,
     OP_STORE_LOST,
     COUNT_HINT_SKIPPED,
     COUNT_HINT_WARM,
@@ -339,8 +332,6 @@ pub const ALL: &[&str] = &[
     SHARD_OBSERVE,
     SHARD_FLUSH,
     SHARD_FLUSH_BATCH,
-    SHARD_OCCUPANCY,
-    SHARD_BYTES,
     SHARD_SKETCH_BYTES,
     SHARD_EVICT,
     SHARD_SPILL_BYTES,

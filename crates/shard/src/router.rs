@@ -38,20 +38,11 @@ impl ShardRouter {
         }
     }
 
-    /// Number of shards routed over.
-    pub fn shard_count(&self) -> usize {
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            // dhs-lint: allow(lossy_cast) — constructed from a usize.
-            self.shards as usize
-        }
-    }
-
     /// The shard owning `key`.
     pub fn shard_of(&self, key: SketchKey) -> usize {
         #[allow(clippy::cast_possible_truncation)]
         {
-            // dhs-lint: allow(lossy_cast) — reduced mod shard_count ≤ usize.
+            // dhs-lint: allow(lossy_cast) — reduced mod the shard count ≤ usize.
             (SplitMix64::mix(key.packed() ^ ROUTE_SALT) % self.shards) as usize
         }
     }

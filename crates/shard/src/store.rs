@@ -360,18 +360,6 @@ impl<C: ColdTier> ShardedStore<C> {
         self.eviction_digest.finish()
     }
 
-    /// Record occupancy / bytes / bytes-per-sketch histograms for every
-    /// shard (one histogram sample per shard).
-    pub fn record_snapshot(&self, rec: &mut dyn Recorder) {
-        for sh in &self.shards {
-            rec.observe(names::SHARD_OCCUPANCY, sh.index.len() as u64);
-            rec.observe(names::SHARD_BYTES, sh.bytes);
-            for slot in sh.slots.iter().flatten() {
-                rec.observe(names::SHARD_SKETCH_BYTES, slot.regs.payload_bytes() as u64);
-            }
-        }
-    }
-
     /// Bump the logical clock and refresh `key`'s recency (recovering it
     /// from the cold tier if needed). `None` when the key is neither
     /// resident nor recoverable.
@@ -697,28 +685,5 @@ mod tests {
             let b = batched.estimate(key(m), &mut rec).unwrap();
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn snapshot_reports_per_shard_series() {
-        use dhs_obs::Observer;
-        let mut store = ShardedStore::new(ShardConfig::new(3, 64)).unwrap();
-        let mut rec = NoopRecorder;
-        let hasher = SplitMix64::default();
-        for i in 0..300u64 {
-            // dhs-lint: allow(lossy_cast) — test metric ids below 64.
-            #[allow(clippy::cast_possible_truncation)]
-            store.observe_item(key((i % 64) as u16), hasher.hash_u64(i), &mut rec);
-        }
-        let mut obs = Observer::new(1);
-        store.record_snapshot(&mut obs);
-        let count = |name: &str| obs.metrics.histogram(name).map_or(0, |h| h.count());
-        assert_eq!(
-            count(names::SHARD_OCCUPANCY),
-            3,
-            "one occupancy sample per shard"
-        );
-        assert_eq!(count(names::SHARD_BYTES), 3);
-        assert_eq!(count(names::SHARD_SKETCH_BYTES), 64);
     }
 }

@@ -1,7 +1,6 @@
-//! Bias-correction constants for the LogLog estimator family.
+//! Bias-correction constants for the super-LogLog and HyperLogLog
+//! estimators.
 //!
-//! * [`alpha_loglog`] computes the exact Durand–Flajolet constant
-//!   `α_m = (Γ(−1/m) · (1 − 2^{1/m}) / ln 2)^{−m}` via the Lanczos Γ.
 //! * [`alpha_superloglog`] returns the constant `α̃_m` for the *truncated*
 //!   estimator (keep the `m₀ = ⌊θ₀·m⌋` smallest registers). Durand &
 //!   Flajolet give no closed form for it; following common practice (and
@@ -19,29 +18,11 @@ use std::sync::{Mutex, OnceLock}; // dhs-lint: allow(determinism)
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::gamma::gamma;
 use crate::registers::MaxRegisters;
 use crate::rho::rho;
 
-/// `α_∞ = e^{−γ}·√2/2 ≈ 0.39701`, the large-`m` limit of `α_m`.
-pub const ALPHA_INFINITY: f64 = 0.397_011_808_010_995_5;
-
 /// The truncation ratio of super-LogLog (`θ₀` in the paper).
 pub const THETA_0: f64 = 0.7;
-
-/// Exact Durand–Flajolet LogLog constant `α_m` for `m ≥ 2`.
-///
-/// ```
-/// use dhs_sketch::alpha::{alpha_loglog, ALPHA_INFINITY};
-/// let a = alpha_loglog(1024);
-/// assert!((a - ALPHA_INFINITY).abs() < 1e-3);
-/// ```
-pub fn alpha_loglog(m: usize) -> f64 {
-    assert!(m >= 2, "LogLog needs at least 2 buckets");
-    let mf = m as f64;
-    let base = gamma(-1.0 / mf) * (1.0 - 2f64.powf(1.0 / mf)) / std::f64::consts::LN_2;
-    base.powf(-mf)
-}
 
 /// HyperLogLog's harmonic-mean constant `α^HLL_m`.
 pub fn alpha_hyperloglog(m: usize) -> f64 {
@@ -127,28 +108,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alpha_converges_to_limit() {
-        // Durand–Flajolet: α_m → 0.39701… from below rather quickly.
-        let a64 = alpha_loglog(64);
-        let a1024 = alpha_loglog(1024);
-        let a65536 = alpha_loglog(65_536);
-        assert!((a65536 - ALPHA_INFINITY).abs() < 1e-4, "{a65536}");
-        assert!((a1024 - ALPHA_INFINITY).abs() < 1e-3, "{a1024}");
-        assert!((a64 - ALPHA_INFINITY).abs() < 0.01, "{a64}");
-    }
-
-    #[test]
-    fn alpha_monotone_tail() {
-        // In the practically relevant range, α_m varies smoothly.
-        let mut prev = alpha_loglog(16);
-        for c in 5..14 {
-            let a = alpha_loglog(1 << c);
-            assert!((a - prev).abs() < 0.02);
-            prev = a;
-        }
-    }
-
-    #[test]
     fn hll_alpha_known_values() {
         assert!((alpha_hyperloglog(16) - 0.673).abs() < 1e-12);
         assert!((alpha_hyperloglog(64) - 0.709).abs() < 1e-12);
@@ -168,8 +127,8 @@ mod tests {
         let a1 = alpha_superloglog(64);
         let a2 = alpha_superloglog(64);
         assert_eq!(a1, a2, "cache must return identical values");
-        // The truncated constant is smaller than 1 and larger than α_∞/2;
-        // empirically it sits around 0.4–0.9 for moderate m.
+        // Empirically the truncated constant sits around 0.4–0.9 for
+        // moderate m.
         assert!((0.2..1.5).contains(&a1), "α̃_64 = {a1}");
     }
 

@@ -3,18 +3,10 @@
 //! Every hash-sketch algorithm assumes a pseudo-uniform hash
 //! `h: D → [0, 2^L)`. DHTs already provide one (node/item IDs *are*
 //! pseudo-uniform L-bit values), which is the observation the DHS paper
-//! builds on. This module defines the [`ItemHasher`] abstraction and three
-//! implementations:
-//!
-//! * [`Md4Hasher`] — the paper's choice (RFC 1320 MD4, truncated to 64
-//!   bits). Slowest, strongest mixing.
-//! * [`SplitMix64`] — Steele/Lea/Flajolet-quality 64-bit finalizer; the
-//!   default for simulation speed.
-//! * [`FnvHasher`] — FNV-1a; included as a deliberately weaker mixer for
-//!   robustness experiments (super-LogLog claims to tolerate weaker hash
-//!   functions than PCSA).
-
-use crate::md4::Md4;
+//! builds on. This module defines the [`ItemHasher`] abstraction and its
+//! one implementation, [`SplitMix64`], a 64-bit finalizer. The paper's
+//! evaluation used MD4; it only needs a pseudo-uniform hash, and every
+//! ring, item and experiment here hashes with SplitMix64.
 
 /// A deterministic, stateless map from items to pseudo-uniform `u64`s.
 ///
@@ -25,7 +17,8 @@ pub trait ItemHasher {
     /// Hash an arbitrary byte string.
     fn hash_bytes(&self, data: &[u8]) -> u64;
 
-    /// Hash a `u64` item (convenience; must equal hashing its LE bytes).
+    /// Hash a `u64` item. The default hashes its little-endian bytes; an
+    /// impl may override it with a direct mix of the word.
     fn hash_u64(&self, item: u64) -> u64 {
         self.hash_bytes(&item.to_le_bytes())
     }
@@ -36,24 +29,11 @@ pub trait ItemHasher {
     }
 }
 
-/// MD4-based hasher: the digest's first 8 bytes, little-endian.
-///
-/// This is the identifier scheme of the paper's evaluation (§5.1: "Node and
-/// item IDs are 64 bits, created using MD4").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Md4Hasher;
-
-impl ItemHasher for Md4Hasher {
-    fn hash_bytes(&self, data: &[u8]) -> u64 {
-        Md4::digest_u64(data)
-    }
-}
-
 /// SplitMix64-style mixing hasher with an optional seed.
 ///
 /// For `u64` inputs it applies the SplitMix64 finalizer directly; for byte
 /// strings it folds 8-byte words through the finalizer. Passes practical
-/// uniformity tests and is an order of magnitude faster than MD4.
+/// uniformity tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SplitMix64 {
     seed: u64,
@@ -92,27 +72,6 @@ impl ItemHasher for SplitMix64 {
     }
 }
 
-/// FNV-1a, 64-bit.
-///
-/// Deliberately weak diffusion in the high bits for sequential integer
-/// inputs; kept as a stress-test hasher for the estimators' hash-quality
-/// sensitivity experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FnvHasher;
-
-impl ItemHasher for FnvHasher {
-    fn hash_bytes(&self, data: &[u8]) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut acc = OFFSET;
-        for &byte in data {
-            acc ^= u64::from(byte);
-            acc = acc.wrapping_mul(PRIME);
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,17 +84,8 @@ mod tests {
 
     #[test]
     fn all_hashers_deterministic() {
-        check_determinism(&Md4Hasher);
         check_determinism(&SplitMix64::default());
         check_determinism(&SplitMix64::with_seed(7));
-        check_determinism(&FnvHasher);
-    }
-
-    #[test]
-    fn hash_u64_consistent_with_bytes_for_md4() {
-        // The default trait impl promise: hash_u64(x) == hash_bytes(LE(x)).
-        let h = Md4Hasher;
-        assert_eq!(h.hash_u64(123), h.hash_bytes(&123u64.to_le_bytes()));
     }
 
     #[test]
@@ -172,11 +122,6 @@ mod tests {
                 "{label}: bucket {b} count {c} vs mean {mean}"
             );
         }
-    }
-
-    #[test]
-    fn md4_bucket_balance() {
-        bucket_balance(&Md4Hasher, "md4");
     }
 
     #[test]

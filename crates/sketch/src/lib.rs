@@ -8,9 +8,9 @@
 //! * [`Pcsa`] — Probabilistic Counting with Stochastic Averaging
 //!   (Flajolet & Martin, 1985). Keeps `m` bitmaps; estimates from the
 //!   position of the leftmost 0-bit of each bitmap.
-//! * [`LogLog`] / [`SuperLogLog`] — Durand & Flajolet, 2003. Keeps `m`
-//!   small "max rank" registers; super-LogLog adds the truncation rule
-//!   (keep the `⌊θ₀·m⌋` smallest registers, `θ₀ = 0.7`).
+//! * [`SuperLogLog`] — Durand & Flajolet, 2003. Keeps `m` small
+//!   "max rank" registers and the truncation rule (keep the `⌊θ₀·m⌋`
+//!   smallest registers, `θ₀ = 0.7`).
 //! * [`HyperLogLog`] — Flajolet, Fusy, Gandouet & Meunier, 2007. Included
 //!   as the natural extension of the paper's line of work.
 //!
@@ -27,11 +27,9 @@
 //! *mergeable* (the sketch of a union is the bitwise OR / element-wise max
 //! of the sketches).
 //!
-//! The crate also provides the hashing substrate: an [`ItemHasher`]
-//! abstraction with [`Md4Hasher`] (RFC 1320 MD4 — the hash the paper's
-//! evaluation uses, implemented here from first principles) and the fast
-//! [`SplitMix64`] finalizer, plus the Lanczos Γ function needed to compute
-//! the LogLog bias-correction constant `α_m` exactly.
+//! The crate also provides the hashing substrate: the [`ItemHasher`]
+//! abstraction and its one implementation, the [`SplitMix64`] finalizer.
+//! The paper hashed with MD4 but needs only a pseudo-uniform hash.
 //!
 //! ## Quick example
 //!
@@ -53,11 +51,9 @@
 
 pub mod alpha;
 pub mod estimator;
-pub mod gamma;
 pub mod hash;
 pub mod hyperloglog;
 pub mod loglog;
-pub mod md4;
 pub mod packed;
 pub mod pcsa;
 pub mod registers;
@@ -66,13 +62,9 @@ pub mod tiered;
 pub mod wire;
 
 pub use estimator::{CardinalityEstimator, MergeError, SketchConfigError};
-pub use hash::{FnvHasher, ItemHasher, Md4Hasher, SplitMix64};
+pub use hash::{ItemHasher, SplitMix64};
 pub use hyperloglog::{hyperloglog_estimate_from_registers, HyperLogLog};
-pub use loglog::{
-    loglog_estimate_from_registers, superloglog_estimate_from_registers, LogLog, SuperLogLog,
-    THETA_0,
-};
-pub use md4::Md4;
+pub use loglog::{superloglog_estimate_from_registers, SuperLogLog, THETA_0};
 pub use packed::PackedRegisters;
 pub use pcsa::{pcsa_estimate_from_first_zeros, Pcsa, PCSA_PHI};
 pub use rho::{rho, rho_capped};

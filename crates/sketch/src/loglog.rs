@@ -1,15 +1,10 @@
-//! LogLog and super-LogLog counting (Durand & Flajolet, *Loglog Counting
-//! of Large Cardinalities*, ESA 2003).
+//! super-LogLog counting (Durand & Flajolet, *Loglog Counting of Large
+//! Cardinalities*, ESA 2003).
 //!
 //! Insertion is identical to PCSA's; storage is not: instead of a bitmap,
 //! each bucket keeps only the **maximum** (1-based) rank observed —
-//! `O(log log n)` bits per bucket. The plain LogLog estimate is
-//!
-//! ```text
-//! E(n) = α_m · m · 2^{(1/m)·Σ M⟨i⟩}
-//! ```
-//!
-//! super-LogLog adds the *truncation rule*: keep only the
+//! `O(log log n)` bits per bucket. Plain LogLog averages all `m`
+//! registers; super-LogLog adds the *truncation rule*: keep only the
 //! `m₀ = ⌊θ₀·m⌋` smallest register values (`θ₀ = 0.7`), which discards the
 //! heavy upper tail of the max-rank distribution and reduces the standard
 //! error from `1.30/√m` to `1.05/√m` (paper eq. 2):
@@ -18,24 +13,12 @@
 //! E(n) = α̃_m · m₀ · 2^{(1/m₀)·Σ* M⟨i⟩}
 //! ```
 
-use crate::alpha::{alpha_loglog, alpha_superloglog, truncated_count, truncated_raw_estimate};
+use crate::alpha::{alpha_superloglog, truncated_raw_estimate};
 use crate::estimator::{validate_buckets, CardinalityEstimator, MergeError, SketchConfigError};
 use crate::registers::MaxRegisters;
 use crate::rho::rho;
 
 pub use crate::alpha::THETA_0;
-
-/// The plain-LogLog estimate from raw register values (max 1-based ranks,
-/// 0 = empty bucket). `regs.len()` must be a power of two ≥ 2.
-///
-/// Shared by [`LogLog::estimate`] and the distributed (DHS) counting path,
-/// which reconstructs registers from DHT probes.
-pub fn loglog_estimate_from_registers(regs: &[u8]) -> f64 {
-    let m = regs.len();
-    assert!(m >= 2 && m.is_power_of_two());
-    let sum: f64 = regs.iter().map(|&r| f64::from(r)).sum();
-    alpha_loglog(m) * m as f64 * 2f64.powf(sum / m as f64)
-}
 
 /// The super-LogLog (truncated) estimate from raw register values.
 /// `regs.len()` must be a power of two ≥ 2.
@@ -52,20 +35,42 @@ pub fn superloglog_estimate_from_registers(regs: &[u8]) -> f64 {
     alpha_superloglog(m) * truncated_raw_estimate(&r)
 }
 
-/// Shared register core of the LogLog family.
+/// super-LogLog sketch: `m` max-rank registers plus the truncation rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct LogLogCore {
+pub struct SuperLogLog {
     regs: MaxRegisters,
     bucket_bits: u32,
 }
 
-impl LogLogCore {
-    fn new(m: usize) -> Result<Self, SketchConfigError> {
+impl SuperLogLog {
+    /// Create a super-LogLog sketch with `m` registers (power of two, ≥ 2).
+    pub fn new(m: usize) -> Result<Self, SketchConfigError> {
         let bucket_bits = validate_buckets(m)?;
-        Ok(LogLogCore {
+        // One bucket leaves nothing to truncate, and the register-level
+        // estimator rejects it.
+        if m < 2 {
+            return Err(SketchConfigError::BucketsOutOfRange(m));
+        }
+        Ok(SuperLogLog {
             regs: MaxRegisters::new(m),
             bucket_bits,
         })
+    }
+
+    /// Register value (max 1-based rank) of bucket `i`.
+    pub fn register(&self, i: usize) -> u8 {
+        self.regs.get(i)
+    }
+
+    /// Record a rank observation directly (the DHS reconstruction path).
+    pub fn observe(&mut self, i: usize, rank: u8) {
+        self.regs.observe(i, rank);
+    }
+}
+
+impl CardinalityEstimator for SuperLogLog {
+    fn buckets(&self) -> usize {
+        self.regs.len()
     }
 
     #[inline]
@@ -81,6 +86,10 @@ impl LogLogCore {
         self.regs.observe(bucket, rank);
     }
 
+    fn estimate(&self) -> f64 {
+        alpha_superloglog(self.buckets()) * truncated_raw_estimate(&self.regs)
+    }
+
     fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
         if self.regs.len() != other.regs.len() {
             return Err(MergeError {
@@ -90,105 +99,9 @@ impl LogLogCore {
         self.regs.union_in_place(&other.regs);
         Ok(())
     }
-}
-
-/// Plain LogLog sketch with `m` max-rank registers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogLog {
-    core: LogLogCore,
-}
-
-impl LogLog {
-    /// Create a LogLog sketch with `m` registers (power of two, ≥ 2).
-    pub fn new(m: usize) -> Result<Self, SketchConfigError> {
-        Ok(LogLog {
-            core: LogLogCore::new(m)?,
-        })
-    }
-
-    /// Register value (max 1-based rank) of bucket `i`.
-    pub fn register(&self, i: usize) -> u8 {
-        self.core.regs.get(i)
-    }
-
-    /// Record a rank observation directly (the DHS reconstruction path).
-    pub fn observe(&mut self, i: usize, rank: u8) {
-        self.core.regs.observe(i, rank);
-    }
-}
-
-impl CardinalityEstimator for LogLog {
-    fn buckets(&self) -> usize {
-        self.core.regs.len()
-    }
-
-    fn insert_hash(&mut self, hash: u64) {
-        self.core.insert_hash(hash);
-    }
-
-    fn estimate(&self) -> f64 {
-        let regs: Vec<u8> = self.core.regs.iter().collect();
-        loglog_estimate_from_registers(&regs)
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.core.merge(&other.core)
-    }
 
     fn is_empty(&self) -> bool {
-        self.core.regs.all_zero()
-    }
-}
-
-/// super-LogLog sketch: LogLog registers plus the truncation rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuperLogLog {
-    core: LogLogCore,
-}
-
-impl SuperLogLog {
-    /// Create a super-LogLog sketch with `m` registers (power of two, ≥ 2).
-    pub fn new(m: usize) -> Result<Self, SketchConfigError> {
-        Ok(SuperLogLog {
-            core: LogLogCore::new(m)?,
-        })
-    }
-
-    /// Register value (max 1-based rank) of bucket `i`.
-    pub fn register(&self, i: usize) -> u8 {
-        self.core.regs.get(i)
-    }
-
-    /// Record a rank observation directly (the DHS reconstruction path).
-    pub fn observe(&mut self, i: usize, rank: u8) {
-        self.core.regs.observe(i, rank);
-    }
-
-    /// Number of registers kept by the truncation rule (`m₀`).
-    pub fn truncated_buckets(&self) -> usize {
-        truncated_count(self.buckets())
-    }
-}
-
-impl CardinalityEstimator for SuperLogLog {
-    fn buckets(&self) -> usize {
-        self.core.regs.len()
-    }
-
-    fn insert_hash(&mut self, hash: u64) {
-        self.core.insert_hash(hash);
-    }
-
-    fn estimate(&self) -> f64 {
-        alpha_superloglog(self.buckets()) * truncated_raw_estimate(&self.core.regs)
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.core.merge(&other.core)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.core.regs.all_zero()
+        self.regs.all_zero()
     }
 }
 
@@ -201,17 +114,6 @@ mod tests {
         let hasher = SplitMix64::with_seed(seed);
         for i in 0..n {
             sketch.insert_hash(hasher.hash_u64(i));
-        }
-    }
-
-    #[test]
-    fn loglog_accuracy_within_three_sigma() {
-        // std error ≈ 1.30/√m; m = 256 ⇒ ~8.1%, 3σ ≈ 24%.
-        for (seed, n) in [(1u64, 20_000u64), (2, 100_000), (3, 500_000)] {
-            let mut sketch = LogLog::new(256).unwrap();
-            fill(&mut sketch, n, seed);
-            let err = (sketch.estimate() - n as f64).abs() / n as f64;
-            assert!(err < 0.24, "n={n} err={err}");
         }
     }
 
@@ -280,38 +182,23 @@ mod tests {
 
     #[test]
     fn merge_rejects_mismatched_m() {
-        let mut a = LogLog::new(64).unwrap();
-        let b = LogLog::new(128).unwrap();
-        assert!(a.merge(&b).is_err());
         let mut a = SuperLogLog::new(64).unwrap();
         let b = SuperLogLog::new(32).unwrap();
         assert!(a.merge(&b).is_err());
     }
 
     #[test]
-    fn truncation_keeps_seventy_percent() {
-        let s = SuperLogLog::new(512).unwrap();
-        assert_eq!(s.truncated_buckets(), 358);
-    }
-
-    #[test]
     fn truncation_discards_outliers() {
-        // Register outliers (a huge max rank in one bucket) should barely
-        // move super-LogLog but visibly move plain LogLog.
+        // A register outlier (a huge max rank in one bucket) falls in the
+        // discarded 30 % and barely moves the estimate.
         let n = 50_000u64;
-        let mut ll = LogLog::new(64).unwrap();
         let mut sll = SuperLogLog::new(64).unwrap();
-        fill(&mut ll, n, 7);
         fill(&mut sll, n, 7);
-        let base_ll = ll.estimate();
-        let base_sll = sll.estimate();
+        let base = sll.estimate();
         // Poison one bucket with a rank-40 observation (~2^40 "items").
-        ll.core.regs.observe(0, 40);
         sll.observe(0, 40);
-        let moved_ll = (ll.estimate() - base_ll) / base_ll;
-        let moved_sll = (sll.estimate() - base_sll).abs() / base_sll;
-        assert!(moved_ll > 0.2, "LogLog should inflate: {moved_ll}");
-        assert!(moved_sll < 0.05, "super-LogLog should shrug: {moved_sll}");
+        let moved = (sll.estimate() - base).abs() / base;
+        assert!(moved < 0.05, "super-LogLog should shrug: {moved}");
     }
 
     #[test]
@@ -330,10 +217,7 @@ mod tests {
 
     #[test]
     fn empty_sketches() {
-        let ll = LogLog::new(16).unwrap();
-        assert!(ll.is_empty());
-        // All-zero registers ⇒ E = α_m·m — small, and must not panic.
-        assert!(ll.estimate() < 16.0);
+        // All-zero registers ⇒ a small estimate, and no panic.
         let sll = SuperLogLog::new(16).unwrap();
         assert!(sll.is_empty());
         assert!(sll.estimate() < 16.0);
@@ -341,8 +225,15 @@ mod tests {
 
     #[test]
     fn invalid_m_rejected() {
-        assert!(LogLog::new(0).is_err());
-        assert!(LogLog::new(3).is_err());
+        assert!(SuperLogLog::new(0).is_err());
+        assert!(SuperLogLog::new(3).is_err());
         assert!(SuperLogLog::new(100).is_err());
+        // One bucket too: the register-level estimator (the DHS path)
+        // needs m ≥ 2.
+        assert_eq!(
+            SuperLogLog::new(1),
+            Err(SketchConfigError::BucketsOutOfRange(1))
+        );
+        assert!(SuperLogLog::new(2).is_ok());
     }
 }

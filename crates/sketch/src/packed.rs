@@ -5,8 +5,8 @@
 //! LogLog-family sketches is their `O(log log n)` bits per register).
 //! [`PackedRegisters`] stores `m` registers at `BITS_PER_REGISTER` bits
 //! each — the representation a production node would gossip or persist —
-//! and converts losslessly to/from the byte-per-register form used by
-//! the estimator code.
+//! and unpacks losslessly into the byte-per-register form used by the
+//! estimator code.
 
 use crate::registers::MaxRegisters;
 
@@ -105,15 +105,6 @@ impl PackedRegisters {
         }
         regs
     }
-
-    /// Pack from byte-per-register form (values clamp at the packed max).
-    pub fn pack(regs: &MaxRegisters) -> Self {
-        let mut packed = Self::new(regs.len());
-        for (i, v) in regs.iter().enumerate() {
-            packed.set(i, v);
-        }
-        packed
-    }
 }
 
 #[cfg(test)]
@@ -158,10 +149,12 @@ mod tests {
     fn pack_unpack_is_lossless_for_in_range_values() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut regs = MaxRegisters::new(512);
+        let mut packed = PackedRegisters::new(512);
         for i in 0..512 {
-            regs.observe(i, rng.gen_range(0..=MAX_PACKED));
+            let v = rng.gen_range(0..=MAX_PACKED);
+            regs.observe(i, v);
+            packed.observe(i, v);
         }
-        let packed = PackedRegisters::pack(&regs);
         assert_eq!(packed.unpack(), regs);
     }
 
@@ -198,12 +191,10 @@ mod tests {
         for i in 0..50_000u64 {
             sketch.insert_hash(hasher.hash_u64(i));
         }
-        let regs: Vec<u8> = (0..128).map(|i| sketch.register(i)).collect();
-        let mut mr = MaxRegisters::new(128);
-        for (i, &v) in regs.iter().enumerate() {
-            mr.observe(i, v);
+        let mut packed = PackedRegisters::new(128);
+        for i in 0..128 {
+            packed.observe(i, sketch.register(i));
         }
-        let packed = PackedRegisters::pack(&mr);
         let unpacked: Vec<u8> = (0..128).map(|i| packed.get(i)).collect();
         assert_eq!(
             crate::superloglog_estimate_from_registers(&unpacked),

@@ -72,17 +72,6 @@ impl BitmapArray {
         (self.maps[i].trailing_ones()).min(self.width)
     }
 
-    /// Position of the highest 1-bit of bitmap `i`, or `None` if empty.
-    #[inline]
-    pub fn highest_one(&self, i: usize) -> Option<u32> {
-        let v = self.maps[i];
-        if v == 0 {
-            None
-        } else {
-            Some(63 - v.leading_zeros())
-        }
-    }
-
     /// OR every bitmap of `other` into `self`. Panics if shapes differ
     /// (callers validate first and surface a `MergeError`).
     pub fn union_in_place(&mut self, other: &Self) {
@@ -152,11 +141,6 @@ impl MaxRegisters {
         }
     }
 
-    /// Number of still-zero registers (HyperLogLog's `V`).
-    pub fn zero_count(&self) -> usize {
-        self.regs.iter().filter(|&&r| r == 0).count()
-    }
-
     /// True iff every register is zero.
     pub fn all_zero(&self) -> bool {
         self.regs.iter().all(|&r| r == 0)
@@ -204,16 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn highest_one_semantics() {
-        let mut b = BitmapArray::new(2, 24);
-        assert_eq!(b.highest_one(0), None);
-        b.set(0, 3);
-        b.set(0, 11);
-        assert_eq!(b.highest_one(0), Some(11));
-        assert_eq!(b.highest_one(1), None);
-    }
-
-    #[test]
     fn bitmap_union_is_or() {
         let mut a = BitmapArray::new(2, 24);
         let mut b = BitmapArray::new(2, 24);
@@ -246,15 +220,5 @@ mod tests {
         assert_eq!(a.get(0), 5);
         assert_eq!(a.get(1), 0);
         assert_eq!(a.get(2), 8);
-    }
-
-    #[test]
-    fn zero_count_tracks_empties() {
-        let mut r = MaxRegisters::new(4);
-        assert_eq!(r.zero_count(), 4);
-        r.observe(1, 1);
-        r.observe(3, 2);
-        assert_eq!(r.zero_count(), 2);
-        assert!(!r.all_zero());
     }
 }

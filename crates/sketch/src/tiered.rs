@@ -483,24 +483,6 @@ impl TieredRegisters {
             repr,
         })
     }
-
-    /// Iterate the nonzero registers as `(index, rank)` pairs in index
-    /// order, without materializing a dense vector.
-    pub fn iter_nonzero(&self) -> Box<dyn Iterator<Item = (usize, u8)> + '_> {
-        match &self.repr {
-            Repr::Sparse(entries) => {
-                Box::new(entries.iter().map(|&(idx, rank)| (usize::from(idx), rank)))
-            }
-            Repr::Packed(p) => Box::new((0..self.len).filter_map(|i| match p.get(i) {
-                0 => None,
-                v => Some((i, v)),
-            })),
-            Repr::Dense(d) => Box::new(d.iter().enumerate().filter_map(|(i, v)| match v {
-                0 => None,
-                v => Some((i, v)),
-            })),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -637,17 +619,6 @@ mod tests {
         a.union_in_place(&b);
         ra.union_in_place(&rb);
         assert_eq!(a.unpack(), ra);
-    }
-
-    #[test]
-    fn iter_nonzero_is_sorted_and_complete() {
-        let mut t = TieredRegisters::new(32);
-        t.observe(9, 4);
-        t.observe(2, 7);
-        t.observe(30, 1);
-        let got: Vec<(usize, u8)> = t.iter_nonzero().collect();
-        assert_eq!(got, vec![(2, 7), (9, 4), (30, 1)]);
-        assert_eq!(t.nonzero(), 3);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! ```text
 //! byte 0     magic 0xD5
-//! byte 1     kind (1 = PCSA, 2 = LogLog, 3 = super-LogLog, 4 = HLL)
+//! byte 1     kind (1 = PCSA, 3 = super-LogLog, 4 = HLL; 2 is reserved,
+//!            it was plain LogLog, and no type decodes it)
 //! byte 2     log2(m)
 //! byte 3     PCSA: bitmap width; others: 0
 //! bytes 4..  payload: PCSA m×u64 bitmaps; others m×u8 registers
@@ -23,7 +24,7 @@
 
 use crate::estimator::CardinalityEstimator;
 use crate::hyperloglog::HyperLogLog;
-use crate::loglog::{LogLog, SuperLogLog};
+use crate::loglog::SuperLogLog;
 use crate::pcsa::Pcsa;
 
 const MAGIC: u8 = 0xD5;
@@ -200,7 +201,6 @@ macro_rules! impl_register_wire {
     };
 }
 
-impl_register_wire!(LogLog, 2, LogLog::new, register, observe);
 impl_register_wire!(SuperLogLog, 3, SuperLogLog::new, register, observe);
 impl_register_wire!(HyperLogLog, 4, HyperLogLog::new, register, observe);
 
@@ -221,10 +221,6 @@ mod tests {
         let mut pcsa = Pcsa::with_width(64, 32).unwrap();
         fill(&mut pcsa, 10_000);
         assert_eq!(Pcsa::from_bytes(&pcsa.to_bytes()).unwrap(), pcsa);
-
-        let mut ll = LogLog::new(64).unwrap();
-        fill(&mut ll, 10_000);
-        assert_eq!(LogLog::from_bytes(&ll.to_bytes()).unwrap(), ll);
 
         let mut sll = SuperLogLog::new(128).unwrap();
         fill(&mut sll, 10_000);
@@ -256,10 +252,10 @@ mod tests {
             SuperLogLog::from_bytes(&[MAGIC, 9, 4, 0]),
             Err(DecodeError::UnknownKind(9))
         );
-        // A LogLog blob fed to SuperLogLog is rejected.
-        let ll = LogLog::new(16).unwrap();
+        // A HyperLogLog blob fed to SuperLogLog is rejected.
+        let hll = HyperLogLog::new(16).unwrap();
         assert!(matches!(
-            SuperLogLog::from_bytes(&ll.to_bytes()),
+            SuperLogLog::from_bytes(&hll.to_bytes()),
             Err(DecodeError::KindMismatch { .. })
         ));
         // Truncated payload.
@@ -270,6 +266,12 @@ mod tests {
             SuperLogLog::from_bytes(&bytes),
             Err(DecodeError::LengthMismatch { .. })
         ));
+        // A one-bucket super-LogLog does not decode: the register-level
+        // estimator needs m ≥ 2.
+        assert_eq!(
+            SuperLogLog::from_bytes(&[MAGIC, 3, 0, 0, 5]),
+            Err(DecodeError::InvalidParams)
+        );
     }
 
     #[test]

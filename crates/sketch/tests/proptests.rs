@@ -1,10 +1,53 @@
 //! Property-based tests for the sketch crate's core invariants.
 
+use dhs_sketch::tiered::TIERED_MAGIC;
 use dhs_sketch::{
-    rho, rho_capped, CardinalityEstimator, HyperLogLog, ItemHasher, LogLog, Md4, Md4Hasher, Pcsa,
-    SplitMix64, SuperLogLog,
+    rho, rho_capped, superloglog_estimate_from_registers, CardinalityEstimator, HyperLogLog,
+    ItemHasher, Pcsa, SplitMix64, SuperLogLog, TieredRegisters, WireSketch,
 };
 use proptest::prelude::*;
+
+/// Magic byte of the fixed-layout sketch format (`dhs_sketch::wire`).
+const MAGIC: u8 = 0xD5;
+
+/// Decode `bytes` as every sketch type. Each decode is either `Err` or a
+/// value that survives a re-encode. The bytes themselves need not match:
+/// PCSA bits above the width and packed-tier padding decode to a
+/// canonical form. Kind byte 2 is reserved and decodes as nothing.
+fn check_decoders_total(bytes: &[u8]) {
+    if let Ok(s) = Pcsa::from_bytes(bytes) {
+        assert_eq!(Pcsa::from_bytes(&s.to_bytes()), Ok(s));
+    }
+    if let Ok(s) = SuperLogLog::from_bytes(bytes) {
+        let regs: Vec<u8> = (0..s.buckets()).map(|i| s.register(i)).collect();
+        assert_eq!(s.estimate(), superloglog_estimate_from_registers(&regs));
+        assert_eq!(SuperLogLog::from_bytes(&s.to_bytes()), Ok(s));
+    }
+    if let Ok(s) = HyperLogLog::from_bytes(bytes) {
+        assert_eq!(HyperLogLog::from_bytes(&s.to_bytes()), Ok(s));
+    }
+    if let Ok(t) = TieredRegisters::from_wire(bytes) {
+        assert_eq!(TieredRegisters::from_wire(&t.to_wire()), Ok(t));
+    }
+    if bytes.starts_with(&[MAGIC, 2]) {
+        assert!(Pcsa::from_bytes(bytes).is_err());
+        assert!(SuperLogLog::from_bytes(bytes).is_err());
+        assert!(HyperLogLog::from_bytes(bytes).is_err());
+        assert!(TieredRegisters::from_wire(bytes).is_err());
+    }
+}
+
+/// Byte `i` of a pseudo-random payload; `small` keeps it a legal
+/// 6-bit register value.
+#[allow(clippy::cast_possible_truncation)] // the shift leaves one byte
+fn payload_byte(seed: u64, i: usize, small: bool) -> u8 {
+    let b = (SplitMix64::mix(seed ^ i as u64) >> 56) as u8;
+    if small {
+        b & 0x3F
+    } else {
+        b
+    }
+}
 
 proptest! {
     /// ρ really is the least-significant-one position.
@@ -26,27 +69,11 @@ proptest! {
         }
     }
 
-    /// MD4 streaming equals one-shot for arbitrary data and chunkings.
-    #[test]
-    fn md4_streaming_equals_oneshot(
-        data in prop::collection::vec(any::<u8>(), 0..600),
-        chunk in 1usize..97,
-    ) {
-        let oneshot = Md4::digest(&data);
-        let mut hasher = Md4::new();
-        for piece in data.chunks(chunk) {
-            hasher.update(piece);
-        }
-        prop_assert_eq!(hasher.finalize(), oneshot);
-    }
-
-    /// Hashers are deterministic and length-sensitive.
+    /// The hasher is deterministic.
     #[test]
     fn hashers_deterministic(data in prop::collection::vec(any::<u8>(), 0..200)) {
         let sm = SplitMix64::default();
         prop_assert_eq!(sm.hash_bytes(&data), sm.hash_bytes(&data));
-        let md4 = Md4Hasher;
-        prop_assert_eq!(md4.hash_bytes(&data), md4.hash_bytes(&data));
     }
 
     /// Insertion order never matters for any sketch.
@@ -70,26 +97,6 @@ proptest! {
         prop_assert_eq!(forward, backward);
     }
 
-    /// Estimates are monotone under stream extension (supersets can only
-    /// raise register values, never lower the estimate) for the LogLog
-    /// family without truncation; with truncation/HLL the estimate is at
-    /// least not degraded below the subset by more than numeric noise.
-    #[test]
-    fn loglog_estimate_monotone(
-        base in prop::collection::vec(any::<u64>(), 1..200),
-        extra in prop::collection::vec(any::<u64>(), 0..200),
-    ) {
-        let mut small = LogLog::new(32).unwrap();
-        for &x in &base {
-            small.insert_hash(x);
-        }
-        let mut big = small.clone();
-        for &x in &extra {
-            big.insert_hash(x);
-        }
-        prop_assert!(big.estimate() >= small.estimate() - 1e-9);
-    }
-
     /// Every sketch family reports is_empty exactly when nothing was
     /// inserted.
     #[test]
@@ -105,7 +112,6 @@ proptest! {
             }};
         }
         check!(Pcsa::new(16).unwrap());
-        check!(LogLog::new(16).unwrap());
         check!(SuperLogLog::new(16).unwrap());
         check!(HyperLogLog::new(16).unwrap());
     }
@@ -135,5 +141,100 @@ proptest! {
         }
         let err = (s.estimate() - distinct as f64).abs();
         prop_assert!(err <= (distinct as f64 * 0.3).max(2.0), "est {} vs {distinct}", s.estimate());
+    }
+
+    /// Every wire decoder is total on arbitrary bytes, some of which
+    /// carry one of the two magic bytes so that they reach the header
+    /// checks.
+    #[test]
+    fn wire_decoders_are_total_on_arbitrary_bytes(
+        mut bytes in prop::collection::vec(any::<u8>(), 0..300),
+        tag in 0u8..3,
+    ) {
+        if let Some(first) = bytes.first_mut() {
+            match tag {
+                0 => {}
+                1 => *first = MAGIC,
+                _ => *first = TIERED_MAGIC,
+            }
+        }
+        check_decoders_total(&bytes);
+    }
+
+    /// Every wire decoder is total on blobs with a well-formed header
+    /// and a payload of the exact, one-longer or one-shorter length.
+    #[test]
+    fn wire_decoders_are_total_on_shaped_blobs(
+        seed in any::<u64>(),
+        log_m in 0u8..12,
+        width in 0u8..70,
+        len_mode in 0u8..4,
+    ) {
+        // A third of the cases have one bucket, which super-LogLog must
+        // refuse: its register-level estimator needs m ≥ 2.
+        let log_m = if log_m > 8 { 0 } else { log_m };
+        let m = 1usize << log_m;
+        let sized = |exact: usize| match len_mode {
+            0 | 1 => exact,
+            2 => exact + 1,
+            _ => exact.saturating_sub(1),
+        };
+        for kind in 0u8..=5 {
+            let len = sized(if kind == 1 { m * 8 } else { m });
+            let mut blob = vec![MAGIC, kind, log_m, width];
+            blob.extend((0..len).map(|i| payload_byte(seed, i, len_mode == 1)));
+            check_decoders_total(&blob);
+        }
+        for tier in 0u8..=4 {
+            let len = sized(match tier {
+                1 => 4,
+                2 => (m * 6).div_ceil(8),
+                _ => m,
+            });
+            let mut blob = vec![TIERED_MAGIC, tier];
+            blob.extend(u32::try_from(m).unwrap().to_le_bytes());
+            blob.extend((0..len).map(|i| payload_byte(seed, i, len_mode == 1)));
+            check_decoders_total(&blob);
+        }
+    }
+
+    /// Every wire decoder is total on valid blobs of each type with one
+    /// byte flipped, and then cut short at that byte or grown by one.
+    #[test]
+    fn wire_decoders_are_total_on_mutated_blobs(
+        hashes in prop::collection::vec(any::<u64>(), 0..200),
+        log_m in 0u8..7,
+        width in 1u32..=64,
+        at in any::<usize>(),
+        xor in any::<u8>(),
+        cut in 0u8..4,
+    ) {
+        let m = 1usize << log_m;
+        let mut pcsa = Pcsa::with_width(m, width).unwrap();
+        let mut hll = HyperLogLog::new(m.max(16)).unwrap();
+        let mut tiered = TieredRegisters::new(m);
+        let mut sll = SuperLogLog::new(m).ok();
+        for &h in &hashes {
+            pcsa.insert_hash(h);
+            hll.insert_hash(h);
+            if let Some(s) = sll.as_mut() {
+                s.insert_hash(h);
+            }
+            let i = usize::try_from(h % m as u64).unwrap();
+            tiered.observe(i, u8::try_from(rho(h | 1 << 63) + 1).unwrap());
+        }
+        let mut blobs = vec![pcsa.to_bytes(), hll.to_bytes(), tiered.to_wire()];
+        blobs.extend(sll.map(|s| s.to_bytes()));
+        for mut blob in blobs {
+            check_decoders_total(&blob);
+            let i = at % blob.len();
+            blob[i] ^= xor;
+            match cut {
+                0 => blob.truncate(i),
+                1 => blob.push(xor),
+                _ => {}
+            }
+            check_decoders_total(&blob);
+        }
     }
 }

@@ -10,8 +10,6 @@
 //!   `--scale 1.0` reproduces the paper's sizes.
 //! * [`multiset`] — duplicate-laden item streams for the
 //!   duplicate-(in)sensitivity experiments.
-//! * [`scenario`] — the named parameter sets of the evaluation (node
-//!   counts, DHS key length, bitmap counts, …).
 //! * [`tenants`] — the multi-tenant metric stream (10⁶ sketches, Zipf
 //!   popularity) that drives the sharded sketch store.
 
@@ -20,12 +18,10 @@
 
 pub mod multiset;
 pub mod relation;
-pub mod scenario;
 pub mod tenants;
 pub mod zipf;
 
 pub use multiset::DuplicatedMultiset;
 pub use relation::{Relation, RelationSpec, Tuple, PAPER_RELATIONS};
-pub use scenario::PaperScenario;
 pub use tenants::{TenantUpdate, TenantWorkload};
 pub use zipf::Zipf;

@@ -47,17 +47,6 @@ pub struct TenantUpdate {
 }
 
 impl TenantWorkload {
-    /// The paper-scale default: 2¹⁰ tenants × ~2¹⁰ metrics ≈ 10⁶ metrics,
-    /// θ = 0.7 (the evaluation's skew), 3 updates per metric on average.
-    pub fn million_metrics() -> Self {
-        TenantWorkload {
-            tenants: 1_000,
-            metrics_per_tenant: 1_000,
-            theta: 0.7,
-            extra_updates: 3_000_000,
-        }
-    }
-
     /// Total metrics across tenants.
     pub fn total_metrics(&self) -> u64 {
         u64::from(self.tenants) * u64::from(self.metrics_per_tenant)
@@ -207,13 +196,5 @@ mod tests {
         assert!(w.validate().is_err());
         w.tenants = 0;
         assert!(w.validate().is_err());
-    }
-
-    #[test]
-    fn million_metric_default_shape() {
-        let w = TenantWorkload::million_metrics();
-        assert_eq!(w.total_metrics(), 1_000_000);
-        assert_eq!(w.total_updates(), 4_000_000);
-        assert!(w.validate().is_ok());
     }
 }

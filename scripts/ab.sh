@@ -9,7 +9,8 @@
 # alternating base/head pairs (`run --trace 0` at the benchmark's own run
 # length, the same seed on both sides of a pair — 42 for the first pair,
 # 43 for the next and so on — base first on even pairs and head first on
-# odd ones) and one traced pair. Per workload it prints:
+# odd ones) and one traced pair. It first prints where the hot functions
+# sit in each binary (below). Per workload it then prints:
 #   1. per rate or latency metric, the median change, the pairs the head
 #      won and the base's interquartile range, relative to its median;
 #   2. the traced pair's layer timings of the workload's own phases;
@@ -49,6 +50,42 @@ build() { # build <source dir> <side>
 }
 build "$out/base-src" base
 build . head
+
+# Code placement: the start address mod 64 of every instance of each
+# hot function, per binary. Count rates move with where these fall
+# relative to 64-byte lines, so a row whose offsets differ between the
+# two sides is marked `placement?`: before blaming the change for a rate
+# on that path, rebuild both sides with
+# RUSTFLAGS="-C llvm-args=-align-all-functions=6" and run a pair again.
+python3 - "$out/bin-base" "$out/bin-head" <<'EOF'
+import re, subprocess, sys
+
+hot = [
+    ("<Ring as Overlay>::fetch_at", r"<dhs_dht::ring::Ring as dhs_dht::overlay::Overlay>::fetch_at"),
+    ("Ring::get_at", r"dhs_dht::ring::Ring::get_at"),
+    ("Ring::route", r"dhs_dht::ring::Ring::route"),
+    ("Registers::apply_hits", r"dhs_core::count::Registers::apply_hits"),
+    ("CostLedger::record_visit", r"dhs_dht::cost::CostLedger::record_visit"),
+    ("ShardedStore::observe_item", r"dhs_shard::store::ShardedStore(<.*>)?::observe_item"),
+]
+
+def offsets(binary):
+    out = subprocess.run(["nm", "-C", binary], capture_output=True, text=True, check=True).stdout
+    syms = sorted(
+        (int(addr, 16), name)
+        for addr, kind, name in (line.split(" ", 2) for line in out.splitlines() if line[:1] != " ")
+        if kind in "Tt"
+    )
+    return {label: [a % 64 for a, name in syms if re.fullmatch(pat, name)] for label, pat in hot}
+
+sides = [offsets(b) for b in sys.argv[1:3]]
+show = lambda offs: ",".join(map(str, offs)) or "inlined"
+print("\ncode placement, start address mod 64 of every instance:")
+print(f"  {'function':28} {'base':>12} {'head':>12}")
+for label, _ in hot:
+    b, h = (side[label] for side in sides)
+    print(f"  {label:28} {show(b):>12} {show(h):>12}{'  placement?' if b != h else ''}")
+EOF
 
 status=0
 for w in "${workloads[@]}"; do

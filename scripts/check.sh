@@ -81,6 +81,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 twice observability cargo run --release --quiet --example observability
 echo "observability example: two runs byte-identical"
 
+# Every experiment at quick scale, against the committed reference:
+# `repro` reads no clock, so a fresh `repro all --quick` must equal
+# experiments_output.quick.txt byte for byte (~1.5 min on 2 cores). A
+# change that moves a figure regenerates the file and says why.
+repro all --quick > "$tmp/quick"
+cmp "$tmp/quick" experiments_output.quick.txt
+echo "repro all --quick: byte-identical to experiments_output.quick.txt"
+
 # Sharded-store scenario at CI scale: the N4 workload (10⁶ metrics at
 # full scale, 2×10⁴ here) through the tiered store, twice. `repro`
 # reads no clock, so the whole stdout — per-shard table, tier census,

@@ -7,8 +7,8 @@
 //! This crate re-exports the workspace's public API so examples and
 //! integration tests can depend on a single crate:
 //!
-//! * [`sketch`] — hash sketches (PCSA, LogLog, super-LogLog, HyperLogLog)
-//!   plus the hashing substrate (MD4, SplitMix64).
+//! * [`sketch`] — hash sketches (PCSA, super-LogLog, HyperLogLog) plus
+//!   the hashing substrate (SplitMix64).
 //! * [`dht`] — a deterministic Chord-like DHT simulator with exact
 //!   hop/byte cost accounting.
 //! * [`net`] — a deterministic discrete-event network simulator (latency
