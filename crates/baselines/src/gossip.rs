@@ -51,7 +51,10 @@ pub fn push_sum(
 ) -> GossipTrace {
     let ids: Vec<u64> = ring.alive_ids().to_vec();
     let n = ids.len();
-    // dhs-lint: allow(panic_hygiene) — invariant: ids is the sorted alive set; every id is drawn from it.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: ids is the sorted alive set; every id is drawn from it"
+    )]
     let index_of = |id: u64| ids.binary_search(&id).expect("alive node");
     let mut value: Vec<f64> = ids
         .iter()
@@ -109,13 +112,19 @@ pub fn sketch_gossip(
     ledger: &mut CostLedger,
 ) -> GossipTrace {
     let ids: Vec<u64> = ring.alive_ids().to_vec();
-    // dhs-lint: allow(panic_hygiene) — invariant: ids is the sorted alive set; every id is drawn from it.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: ids is the sorted alive set; every id is drawn from it"
+    )]
     let index_of = |id: u64| ids.binary_search(&id).expect("alive node");
     let hasher = SplitMix64::default();
     let mut sketches: Vec<SuperLogLog> = ids
         .iter()
         .map(|&id| {
-            // dhs-lint: allow(panic_hygiene) — invariant: m was validated by the caller's config.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: m was validated by the caller's config"
+            )]
             let mut s = SuperLogLog::new(m).expect("valid m");
             for &item in assignment.items_of(id) {
                 s.insert_hash(hasher.hash_u64(item));
@@ -136,7 +145,10 @@ pub fn sketch_gossip(
         let snapshot = sketches.clone();
         for sent in &snapshot {
             let partner = index_of(ring.random_alive(rng));
-            // dhs-lint: allow(panic_hygiene) — invariant: all sketches in the round share one m.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: all sketches in the round share one m"
+            )]
             sketches[partner].merge(sent).expect("same m");
             ledger.charge_hops(1);
             ledger.charge_message(msg_bytes);

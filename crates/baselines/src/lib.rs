@@ -27,6 +27,8 @@
 //! the duplicate-insensitivity constraint is about).
 
 #![forbid(unsafe_code)]
+// Hash-ordered containers are fine off the replay path: offline estimator references, never replayed.
+#![allow(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod assignment;

@@ -36,7 +36,10 @@ pub struct PartitionedOutcome {
 }
 
 /// Run the protocol with `partitions` disjoint hash-range partitions.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "mod partitions, fits usize"
+)]
 pub fn run(
     ring: &Ring,
     assignment: &ItemAssignment,
@@ -62,7 +65,6 @@ pub fn run(
         }
         let mut batches: Vec<Vec<u64>> = vec![Vec::new(); partitions];
         for &item in items {
-            // dhs-lint: allow(lossy_cast) — mod partitions, fits usize.
             let p = (hasher.hash_u64(item) % partitions as u64) as usize;
             batches[p].push(item);
         }

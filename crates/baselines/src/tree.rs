@@ -47,7 +47,10 @@ pub fn aggregate(
     let mut ids: Vec<u64> = ring.alive_ids().to_vec();
     // Shuffle everyone except the root to the front positions randomly so
     // tree shape is seed-driven.
-    // dhs-lint: allow(panic_hygiene) — invariant: root is drawn from the alive set.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: root is drawn from the alive set"
+    )]
     let root_pos = ids.binary_search(&root).expect("root must be alive");
     ids.swap(0, root_pos);
     for i in (2..ids.len()).rev() {
@@ -86,7 +89,10 @@ pub fn aggregate(
     let mut sketches: Vec<SuperLogLog> = ids
         .iter()
         .map(|&id| {
-            // dhs-lint: allow(panic_hygiene) — invariant: m was validated by the caller's config.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: m was validated by the caller's config"
+            )]
             let mut s = SuperLogLog::new(m).expect("valid m");
             for &item in assignment.items_of(id) {
                 s.insert_hash(hasher.hash_u64(item));
@@ -97,7 +103,10 @@ pub fn aggregate(
     for p in (1..n).rev() {
         let parent = parent_of(p);
         let child_sketch = sketches[p].clone();
-        // dhs-lint: allow(panic_hygiene) — invariant: all sketches in the tree share one m.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: all sketches in the tree share one m"
+        )]
         sketches[parent].merge(&child_sketch).expect("same m");
         ledger.charge_hops(1);
         ledger.charge_message(sketch_bytes);

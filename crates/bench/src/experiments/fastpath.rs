@@ -410,7 +410,6 @@ pub fn fastpath(exp: &ExpConfig) -> String {
 /// milli-unit gauges for the fractional per-count measurements. No
 /// wall-clock quantity is recorded, so two same-seed runs produce
 /// digest-identical registries.
-#[allow(clippy::cast_possible_truncation)]
 pub fn fastpath_kpi_metrics(exp: &ExpConfig) -> dhs_obs::MetricsRegistry {
     use dhs_obs::names;
     let dhs = Dhs::new(exp.dhs_config()).expect("valid config");

@@ -41,7 +41,6 @@ fn run_once(exp: &ExpConfig, w: &TenantWorkload, threads: usize) -> SatReport {
 /// invariance verdict — state *and* metric digests at `threads` workers
 /// equal to the 1-worker run's — as a 0/1 gauge. Wall-clock throughput
 /// is deliberately absent: registry rows must be machine-independent.
-#[allow(clippy::cast_possible_truncation)]
 pub fn saturation_kpi_metrics(
     exp: &ExpConfig,
     threads: usize,

@@ -57,7 +57,6 @@ fn shard_workload_sized(metrics: u64) -> TenantWorkload {
 /// the full 10⁶-metric run. An explicit `metrics` (from an ablation plan
 /// parameter) takes precedence. (Shared with N6, which saturates the
 /// same workload through the threaded driver.)
-#[allow(clippy::cast_possible_truncation)]
 pub(crate) fn shard_workload(exp: &ExpConfig, metrics: Option<u64>) -> TenantWorkload {
     shard_workload_sized(metrics.unwrap_or_else(|| (exp.scale * 1e7).round() as u64))
 }
@@ -241,7 +240,6 @@ fn run_report(exp: &ExpConfig, metrics: Option<u64>) -> ShardReport {
 /// counters and gauges, the fractional payload-bytes-per-sketch as a
 /// fixed-point milli-unit gauge, and the three equivalence verdicts as
 /// 0/1 gauges.
-#[allow(clippy::cast_possible_truncation)]
 pub fn shard_kpi_metrics(exp: &ExpConfig, metrics: Option<u64>) -> dhs_obs::MetricsRegistry {
     use dhs_obs::names;
     let r = run_report(exp, metrics);

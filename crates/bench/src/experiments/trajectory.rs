@@ -47,7 +47,6 @@ pub struct BenchRunner {
 /// Overlay recognized job parameters (`m`, `k`, `nodes`, `trials`,
 /// `scale`) onto `base`; the master seed always wins over the CLI seed
 /// so every job of a run shares common random numbers.
-#[allow(clippy::cast_possible_truncation)]
 fn apply(base: &ExpConfig, params: &JobParams, seed: u64) -> ExpConfig {
     let mut e = *base;
     e.seed = seed;
@@ -71,7 +70,6 @@ fn apply(base: &ExpConfig, params: &JobParams, seed: u64) -> ExpConfig {
 }
 
 impl JobRunner for BenchRunner {
-    #[allow(clippy::cast_possible_truncation)]
     fn run(&mut self, params: &JobParams, seed: u64) -> Result<MetricsRegistry, String> {
         let exp = apply(&self.base, params, seed);
         match self.kind {

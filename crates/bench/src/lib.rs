@@ -27,6 +27,8 @@
 //! | N5 | dhs-traj ablation harness + trajectory registry | [`experiments::trajectory`] |
 
 #![forbid(unsafe_code)]
+// Hash-ordered containers are fine off the replay path: the experiment harness; the replayed model runs in the crates it calls.
+#![allow(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod env;

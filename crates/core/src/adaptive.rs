@@ -45,7 +45,10 @@ impl Dhs {
     /// Returns the refined result; if the coarse pass's budget already
     /// meets the eq. 6 requirement, the second pass is skipped and the
     /// coarse result is returned as-is.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float→int: a finite, non-negative estimate; `as` saturates"
+    )]
     pub fn count_adaptive<O: Overlay>(
         &self,
         ring: &O,
@@ -64,7 +67,10 @@ impl Dhs {
             lim: needed,
             ..*self.config()
         };
-        // dhs-lint: allow(panic_hygiene) — invariant: only lim changed; validation cannot newly fail.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: only lim changed; validation cannot newly fail"
+        )]
         let refined = Dhs::new(refined_cfg).expect("lim change keeps config valid");
         refined.count(ring, metric, origin, rng, ledger)
     }

@@ -3,11 +3,11 @@
 //! A silent `as` truncation already shipped one real bug: vector indices
 //! were narrowed with `as u16`, so any configuration with `m > 65536`
 //! aliased distinct bitmaps onto the same register (fixed by
-//! `ConfigError::TooManyBitmaps`; see DESIGN.md, dhs-lint section). The
-//! register state of a hash sketch must be bit-exact — one lossy cast
-//! corrupts every downstream estimate — so library code narrows through
-//! these helpers instead of `as`, and `dhs-lint`'s `lossy_cast` rule
-//! rejects bare narrowing casts.
+//! `ConfigError::TooManyBitmaps`; see DESIGN.md, static-analysis gate).
+//! The register state of a hash sketch must be bit-exact — one lossy
+//! cast corrupts every downstream estimate — so library code narrows
+//! through these helpers instead of `as`, and clippy's
+//! `cast_possible_truncation` rejects bare narrowing casts.
 //!
 //! Two flavours:
 //!
@@ -33,8 +33,10 @@ where
 {
     match v.try_into() {
         Ok(narrowed) => narrowed,
-        // dhs-lint: allow(panic_hygiene) — this panic is the entire point:
-        // a loud, located failure instead of a silent truncation.
+        #[expect(
+            clippy::panic,
+            reason = "this panic is the entire point: a loud, located failure instead of a silent truncation"
+        )]
         Err(_) => panic!(
             "checked_cast: {v} does not fit in {}",
             std::any::type_name::<U>()

@@ -208,6 +208,10 @@ impl Dhs {
     /// [`Self::count`] over an explicit [`Transport`] — probes that time
     /// out (after the transport's retries) count against `lim` and may
     /// leave vectors unresolved, the §4.1 distributed-operation error.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the scan returns exactly one result per metric"
+    )]
     pub fn count_via<O: Overlay, T: Transport>(
         &self,
         ring: &O,
@@ -219,7 +223,6 @@ impl Dhs {
     ) -> CountResult {
         self.scan(ring, transport, None, &[metric], origin, rng, ledger)
             .pop()
-            // dhs-lint: allow(panic_hygiene) — invariant: the scan returns exactly one result per metric.
             .expect("one metric in, one result out")
     }
 
@@ -267,6 +270,10 @@ impl Dhs {
     /// byte-identical registers and estimates no matter how wrong the
     /// prior was; only the cost shrinks. PCSA scans upward and ignores
     /// hints.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the scan returns exactly one result per metric"
+    )]
     pub fn count_hinted<O: Overlay>(
         &self,
         ring: &O,
@@ -286,7 +293,6 @@ impl Dhs {
             ledger,
         )
         .pop()
-        // dhs-lint: allow(panic_hygiene) — invariant: the scan returns exactly one result per metric.
         .expect("one metric in, one result out")
     }
 
@@ -457,7 +463,10 @@ impl Dhs {
 }
 
 #[cfg(test)]
-#[allow(clippy::cast_possible_truncation)] // test data has known ranges
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data has known ranges"
+)]
 mod tests {
     use super::*;
     use crate::config::DhsConfig;

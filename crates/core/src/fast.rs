@@ -169,7 +169,10 @@ impl ScanHint {
     /// The highest rank the scan must still examine for `metrics`, or
     /// `None` when any metric lacks a prior (→ full scan). The result is
     /// clamped into the scannable range `[bit_shift, k)`.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float→int: ceil(log2) of a finite positive f64 is ≤ 1024, comfortably inside u32"
+    )]
     pub fn start_rank(&self, cfg: &DhsConfig, metrics: &[MetricId]) -> Option<u32> {
         let mut start = cfg.bit_shift;
         for metric in metrics {
@@ -178,8 +181,6 @@ impl ScanHint {
             // slack so underestimated priors don't push real work into
             // the exactly-resolved region above the hint.
             let per_vector = (prior / cfg.m as f64).max(1.0);
-            // dhs-lint: allow(lossy_cast) — float→int: ceil(log2) of a finite
-            // positive f64 is ≤ 1024, comfortably inside u32.
             let top = per_vector.log2().ceil() as u32 + Self::DEFAULT_SLACK;
             start = start.max(top.min(cfg.k.saturating_sub(1)));
         }
@@ -188,7 +189,10 @@ impl ScanHint {
 }
 
 #[cfg(test)]
-#[allow(clippy::cast_possible_truncation)] // test data has known ranges
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data has known ranges"
+)]
 mod tests {
     use super::*;
 

@@ -484,7 +484,10 @@ impl Dhs {
 }
 
 #[cfg(test)]
-#[allow(clippy::cast_possible_truncation)] // test data has known ranges
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data has known ranges"
+)]
 mod tests {
     use super::*;
     use crate::intervals::interval_for_rank;

@@ -95,7 +95,10 @@ pub fn prob_t_empty_probes(items: u64, n_nodes: u64, t: u64) -> f64 {
 /// `items` is the number of items mapped to the interval (*all* vectors
 /// together, matching the paper's `n′`); `n_nodes` the nodes inside it.
 /// Returns at least 1.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float→int: lim is a probe count derived from n_nodes ≤ 2^32 and already ceil()ed; saturation at u32::MAX would still mean \"probe every node\""
+)]
 pub fn required_lim(p: f64, items: u64, n_nodes: u64, m: usize, replication: u32) -> u32 {
     assert!((0.0..1.0).contains(&p), "p must be in [0, 1)");
     assert!(n_nodes > 0 && m > 0 && replication > 0);
@@ -107,9 +110,6 @@ pub fn required_lim(p: f64, items: u64, n_nodes: u64, m: usize, replication: u32
     // paper's typo).
     let exponent = m as f64 / (f64::from(replication) * items as f64);
     let lim = (n_nodes as f64 * (1.0 - (1.0 - p).powf(exponent))).ceil();
-    // dhs-lint: allow(lossy_cast) — float→int: lim is a probe count
-    // derived from n_nodes ≤ 2^32 and already ceil()ed; saturation at
-    // u32::MAX would still mean "probe every node".
     (lim as u32).max(1)
 }
 

@@ -1,5 +1,9 @@
-#![allow(clippy::cast_possible_truncation)] // test data has known ranges
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test data has known ranges"
+)]
 //! Property-based tests for the DHS core protocol.
+#![expect(clippy::unwrap_used, reason = "test helpers fail loudly")]
 
 use dhs_core::retry::{hit_probability, prob_t_empty_probes, required_lim};
 use dhs_core::tuple::DhsTuple;

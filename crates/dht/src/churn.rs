@@ -34,7 +34,10 @@ impl Ring {
     /// Panics if this would crash the last alive node.
     pub fn fail_node(&mut self, node: u64) {
         assert!(self.len_alive() > 1, "cannot fail the last alive node");
-        // dhs-lint: allow(panic_hygiene) — invariant: node ids come from the alive set.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: node ids come from the alive set"
+        )]
         let state = self.node_mut(node).expect("unknown node");
         assert!(state.alive, "node already failed");
         state.alive = false;
@@ -69,11 +72,18 @@ impl Ring {
 
     /// A previously failed node rejoins with its (stale) store intact.
     pub fn revive_node(&mut self, node: u64) {
-        // dhs-lint: allow(panic_hygiene) — invariant: node ids come from the alive set.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: node ids come from the alive set"
+        )]
         let state = self.node_mut(node).expect("unknown node");
         assert!(!state.alive, "node is not failed");
         state.alive = true;
         // Re-insert into the alive view.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a failed node is out of the alive view"
+        )]
         let pos = self
             .alive_ids_mut_position(node)
             .expect_err("revived node already in alive view");
@@ -88,19 +98,28 @@ impl Ring {
         let succ = self.succ_of(node);
         assert_ne!(succ, node);
         let records: Vec<_> = {
-            // dhs-lint: allow(panic_hygiene) — invariant: node ids come from the alive set.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: node ids come from the alive set"
+            )]
             let state = self.node_mut(node).expect("unknown node");
             assert!(state.alive, "failed nodes cannot leave gracefully");
             state.store.drain().collect()
         };
         {
-            // dhs-lint: allow(panic_hygiene) — invariant: successor_of always returns an alive node.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: successor_of always returns an alive node"
+            )]
             let succ_state = self.node_mut(succ).expect("successor exists");
             for (key, rec) in records {
                 succ_state.store.put(key, rec);
             }
         }
-        // dhs-lint: allow(panic_hygiene) — invariant: node ids come from the alive set.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: node ids come from the alive set"
+        )]
         let state = self.node_mut(node).expect("unknown node");
         state.alive = false;
         self.remove_alive(node);
@@ -131,25 +150,33 @@ impl Ring {
         let pred = self.pred_of(id);
         // Records at the successor whose routing key is now owned by `id`
         // (routing key ∈ (pred, id]) move over.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: successor_of always returns an alive node"
+        )]
         let moving: Vec<u64> = self
             .store_of(succ)
-            // dhs-lint: allow(panic_hygiene) — invariant: successor_of always returns an alive node.
             .expect("successor exists")
             .iter()
             .filter(|&(_, rec)| crate::id::cw_contains(pred, id, rec.routing_key))
             .map(|(app_key, _)| app_key)
             .collect();
         for app_key in moving {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: successor_of returns an alive node, and the key comes from its store's own iteration"
+            )]
             let rec = self
                 .node_mut(succ)
-                // dhs-lint: allow(panic_hygiene) — invariant: successor_of always returns an alive node.
                 .expect("successor exists")
                 .store
                 .remove(app_key)
-                // dhs-lint: allow(panic_hygiene) — invariant: key taken from the store's own iteration.
                 .expect("record present");
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the joining node was inserted just above"
+            )]
             self.node_mut(id)
-                // dhs-lint: allow(panic_hygiene) — invariant: the joining node was inserted just above.
                 .expect("new node present")
                 .store
                 .put(app_key, rec);

@@ -224,6 +224,10 @@ pub struct LoadSummary {
 
 impl LoadSummary {
     /// Compute a summary from raw per-entity load counts.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: guarded by the is_empty check above"
+    )]
     pub fn from_counts(counts: impl IntoIterator<Item = u64>) -> Self {
         let mut v: Vec<u64> = counts.into_iter().collect();
         if v.is_empty() {
@@ -254,7 +258,6 @@ impl LoadSummary {
         LoadSummary {
             count: v.len(),
             min: v[0],
-            // dhs-lint: allow(panic_hygiene) — invariant: guarded by the is_empty check above.
             max: *v.last().expect("non-empty"),
             mean,
             gini,

@@ -19,7 +19,7 @@
 //! joined node took over part of the range). [`RouteOutcome`] reports
 //! both the delivered node and whether it is the true current owner.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use rand::Rng;
 
@@ -67,13 +67,13 @@ impl RouteOutcome {
 /// Materialized finger tables for every node of a ring snapshot.
 #[derive(Debug, Clone)]
 pub struct FingerTables {
-    tables: HashMap<u64, NodeFingers>,
+    tables: BTreeMap<u64, NodeFingers>,
 }
 
 impl FingerTables {
     /// Build converged tables for every currently alive node.
     pub fn build(ring: &Ring) -> Self {
-        let mut tables = HashMap::with_capacity(ring.len_alive());
+        let mut tables = BTreeMap::new();
         for &node in ring.alive_ids() {
             tables.insert(node, Self::compute_node(ring, node));
         }
@@ -104,7 +104,10 @@ impl FingerTables {
     /// fingers and successor list from the current ring. Charges the
     /// `O(log N)` lookups the protocol performs (one per finger level
     /// that changed, at least one for the successor check).
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a finger count, at most 64"
+    )]
     pub fn stabilize_node(&mut self, ring: &Ring, node: u64, ledger: &mut CostLedger) {
         let fresh = Self::compute_node(ring, node);
         let changed = match self.tables.get(&node) {

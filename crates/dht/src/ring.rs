@@ -165,8 +165,10 @@ impl Ring {
     pub fn pred_of(&self, node: u64) -> u64 {
         let ids = &self.alive_ids;
         match ids.binary_search(&node) {
-            // dhs-lint: allow(panic_hygiene) — invariant: ring construction
-            // guarantees at least one node.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: ring construction guarantees at least one node"
+            )]
             Ok(0) | Err(0) => *ids.last().expect("non-empty ring"),
             Ok(i) => ids[i - 1],
             Err(i) => ids[i - 1],
@@ -237,8 +239,10 @@ impl Ring {
     /// `node` must be alive. Re-storing an existing `app_key` refreshes
     /// the record in place (soft-state refresh).
     pub fn store_at(&mut self, node: u64, app_key: u64, record: StoredRecord) {
-        // dhs-lint: allow(panic_hygiene) — invariant: callers pass ids owned
-        // by this ring.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: callers pass ids owned by this ring"
+        )]
         let state = self.nodes.get_mut(&node).expect("unknown node");
         assert!(state.alive, "cannot store at a failed node");
         state.store.put(app_key, record);
@@ -266,6 +270,10 @@ impl Ring {
     }
 
     /// Insert a brand-new node record (crate-internal: churn join).
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: callers insert only absent ids (join asserts it)"
+    )]
     pub(crate) fn insert_node(&mut self, id: u64, state: NodeState) {
         let pos = self
             .alive_ids

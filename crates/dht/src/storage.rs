@@ -28,7 +28,7 @@ pub struct StoredRecord {
 /// Keyed by a `BTreeMap` so that [`NodeStore::iter`] and
 /// [`NodeStore::drain`] — the churn handoff path — walk records in key
 /// order; hash-ordered handoff made replays depend on `HashMap` seed
-/// state (caught by `dhs-lint`'s `determinism` rule).
+/// state (clippy's `disallowed_types` now rejects `HashMap` outright).
 #[derive(Debug, Clone, Default)]
 pub struct NodeStore {
     records: BTreeMap<u64, StoredRecord>,

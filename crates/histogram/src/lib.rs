@@ -24,6 +24,8 @@
 //!   the simulated overlay, and shipped bytes are ledger-measured.
 
 #![forbid(unsafe_code)]
+// Hash-ordered containers are fine off the replay path: query-side tables and a join executor, never replayed.
+#![allow(clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod buckets;

@@ -78,6 +78,10 @@ impl Optimizer {
 
     /// Exhaustively enumerate left-deep orders of `query` and return the
     /// cheapest plan.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: at least one order is always scored"
+    )]
     pub fn optimize(&self, query: &JoinQuery) -> JoinPlan {
         let mut best: Option<JoinPlan> = None;
         permute(&query.relations, &mut |order| {
@@ -89,11 +93,14 @@ impl Optimizer {
                 best = Some(plan);
             }
         });
-        // dhs-lint: allow(panic_hygiene) — invariant: at least one order is always scored.
         best.expect("at least one order")
     }
 
     /// The most expensive order — the adversarial baseline.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: at least one order is always scored"
+    )]
     pub fn pessimize(&self, query: &JoinQuery) -> JoinPlan {
         let mut worst: Option<JoinPlan> = None;
         permute(&query.relations, &mut |order| {
@@ -105,7 +112,6 @@ impl Optimizer {
                 worst = Some(plan);
             }
         });
-        // dhs-lint: allow(panic_hygiene) — invariant: at least one order is always scored.
         worst.expect("at least one order")
     }
 }

@@ -1,4 +1,3 @@
-#![allow(clippy::cast_possible_truncation)] // test data has known ranges
 //! Property-based tests for the histogram crate.
 
 use dhs_histogram::buckets::BucketSpec;

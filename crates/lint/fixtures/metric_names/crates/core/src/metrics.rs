@@ -1,7 +1,7 @@
 //! Recorder calls with off-registry names: string literals at recorder
 //! call sites must come from the canonical table (`dhs_obs::names`).
-//! The test feeds a table containing only `op.insert` and
-//! `latency.ticks`.
+//! The case's table (`crates/obs/src/names.rs`) holds only
+//! `op.insert` and `latency.ticks`.
 
 /// Minimal recorder stand-in (method names are what the rule keys on).
 pub trait Rec {

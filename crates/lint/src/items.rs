@@ -4,21 +4,18 @@
 //!
 //! Per function it records: the (possibly impl-qualified) name, the
 //! source line, whether the signature plumbs an `Rng`-bounded
-//! parameter, whether the return type is a `Result`, the token range of
-//! the body, whether the item sits inside `#[cfg(test)]`, and any
-//! `// dhs-flow: allow(<rule>)` / `// dhs-flow: cycle-ok(<reason>)`
-//! annotations attached to it.
+//! parameter, the token range of the body, whether the item sits inside
+//! `#[cfg(test)]`, and the `// dhs-flow: allow(<rule>)` /
+//! `// dhs-flow: cycle-ok(<reason>)` annotations attached to it.
 //!
-//! Annotation placement for function-granularity rules: the directive
-//! comment may trail the `fn` line, stand in the comment block
-//! immediately above the signature, or appear anywhere inside the body.
-//! (Line-granularity rules — `dropped-result` — keep the stricter
-//! same-line/preceding-line semantics of `dhs-lint: allow`.)
+//! Annotation placement: the directive comment may trail the `fn` line,
+//! stand in the comment block immediately above the signature, or
+//! appear anywhere inside the body.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{lex, Tok, Token};
-use crate::rules::{cfg_test_lines, classify, directive_map, is_ident, FileClass};
+use crate::rules::{cfg_test_lines, is_ident};
 
 /// The directive marker for flow-analysis annotations.
 pub const FLOW_MARKER: &str = "dhs-flow:";
@@ -37,8 +34,6 @@ pub struct FnItem {
     /// Signature receives a caller-supplied RNG: an `Rng` bound appears
     /// in the fn generics/params/where-clause or on the enclosing impl.
     pub has_rng_param: bool,
-    /// Declared return type mentions `Result`.
-    pub returns_result: bool,
     /// Inside a `#[cfg(test)]` extent.
     pub is_test: bool,
     /// Token-index range `(open_brace, close_brace)` of the body in the
@@ -46,49 +41,39 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Line of the body's closing brace (= `line` for declarations).
     pub end_line: u32,
-    /// Rules suppressed on this fn via `dhs-flow: allow(...)`.
+    /// Rules suppressed on this fn via `dhs-flow: allow(...)`, plus
+    /// `cycle-ok` for a `dhs-flow: cycle-ok(reason)` annotation.
     pub allowed: BTreeSet<String>,
-    /// Carries a `dhs-flow: cycle-ok(reason)` annotation.
-    pub cycle_ok: bool,
 }
 
 impl FnItem {
-    /// Whether `rule` is suppressed on this fn.
+    /// Whether `rule` (or `cycle-ok`) is granted on this fn.
     pub fn allows(&self, rule: &str) -> bool {
         self.allowed.contains(rule)
     }
 }
 
-/// One parsed source file: its class, token stream, raw lines, the
-/// functions found, and the line-granular flow allow map.
+/// One parsed source file: its token stream, raw lines and the
+/// functions found.
 #[derive(Debug)]
 pub struct FileItems {
     /// Workspace-relative path (forward slashes).
     pub path: String,
-    /// Classification of `path`.
-    pub class: FileClass,
     /// Full token stream (bodies index into this).
     pub tokens: Vec<Token>,
     /// Raw source lines, for snippets.
     pub lines: Vec<String>,
     /// Functions in source order.
     pub fns: Vec<FnItem>,
-    /// `dhs-flow: allow` directives resolved to code lines (same
-    /// placement semantics as `dhs-lint: allow`).
-    pub flow_allows: BTreeMap<u32, BTreeSet<String>>,
 }
 
 /// Parse one file into its function items. The caller decides which
 /// files to feed in (the flow analysis uses non-exempt library sources).
 pub fn parse_items(path: &str, source: &str) -> FileItems {
-    let class = classify(path);
     let lexed = lex(source);
     let toks = lexed.tokens;
     let test_ranges = cfg_test_lines(&toks);
-    let flow_allows = directive_map(&lexed.comments, &toks, FLOW_MARKER);
-    // cycle-ok placement resolves like allow: trailing comments cover
-    // their own line, standalone comments the next code line.
-    let cycle_lines = cycle_ok_lines(&lexed.comments, &toks);
+    let directives = directive_map(&lexed.comments, &toks);
 
     let mut fns = Vec::new();
     // Stack of enclosing impl/trait contexts: (depth at open, self type,
@@ -139,54 +124,73 @@ pub fn parse_items(path: &str, source: &str) -> FileItems {
 
     let lines: Vec<String> = source.lines().map(|l| l.to_string()).collect();
     for f in &mut fns {
-        f.is_test = class.is_test_target
-            || test_ranges
-                .iter()
-                .any(|&(lo, hi)| lo <= f.line && f.line <= hi);
+        f.is_test = test_ranges
+            .iter()
+            .any(|&(lo, hi)| lo <= f.line && f.line <= hi);
         // Attach fn-level annotations: directives resolving to the fn
         // line, the two lines above it (comment block over `pub fn` /
         // attributes), or any line of the body.
         let lo = f.line.saturating_sub(2);
-        for (&l, rules) in flow_allows.range(lo..=f.end_line) {
-            let _ = l;
+        for rules in directives.range(lo..=f.end_line).map(|(_, r)| r) {
             f.allowed.extend(rules.iter().cloned());
         }
-        f.cycle_ok = cycle_lines.range(lo..=f.end_line).next().is_some();
     }
 
     FileItems {
         path: path.to_string(),
-        class,
         tokens: toks,
         lines,
         fns,
-        flow_allows,
     }
 }
 
-/// Lines carrying a `dhs-flow: cycle-ok(...)` annotation, resolved to
-/// code lines with the allow-map placement semantics.
-fn cycle_ok_lines(comments: &[crate::lexer::Comment], toks: &[Token]) -> BTreeSet<u32> {
+/// Map each code line to the directives covering it: `dhs-flow:
+/// allow(a, b)` grants `a` and `b`, `dhs-flow: cycle-ok(reason)` grants
+/// `cycle-ok`. A directive trailing code covers its own line; one on a
+/// comment-only line covers the next line that carries a token.
+fn directive_map(
+    comments: &[crate::lexer::Comment],
+    toks: &[Token],
+) -> BTreeMap<u32, BTreeSet<String>> {
     let code_lines: BTreeSet<u32> = toks.iter().map(|t| t.line).collect();
-    let last_line = code_lines.iter().next_back().copied().unwrap_or(0);
-    let mut out = BTreeSet::new();
+    let mut map: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
     for c in comments {
-        let Some(at) = c.text.find(FLOW_MARKER) else {
-            continue;
-        };
-        if !c.text[at + FLOW_MARKER.len()..]
-            .trim_start()
-            .starts_with("cycle-ok(")
-        {
+        let granted = parse_directive(&c.text);
+        if granted.is_empty() {
             continue;
         }
-        if code_lines.contains(&c.line) {
-            out.insert(c.line);
-        } else if let Some(&target) = code_lines.range(c.line + 1..=last_line.max(c.line)).next() {
-            out.insert(target);
+        let target = if code_lines.contains(&c.line) {
+            Some(c.line)
+        } else {
+            code_lines.range(c.line + 1..).next().copied()
+        };
+        if let Some(line) = target {
+            map.entry(line).or_default().extend(granted);
         }
     }
-    out
+    map
+}
+
+/// What one comment's `dhs-flow:` directive grants, if it has one.
+fn parse_directive(text: &str) -> Vec<String> {
+    let Some(i) = text.find(FLOW_MARKER) else {
+        return Vec::new();
+    };
+    let rest = text[i + FLOW_MARKER.len()..].trim_start();
+    if rest.starts_with("cycle-ok(") {
+        return vec!["cycle-ok".to_string()];
+    }
+    let Some(list) = rest
+        .strip_prefix("allow(")
+        .and_then(|r| r.split_once(')'))
+        .map(|(list, _)| list)
+    else {
+        return Vec::new();
+    };
+    list.split(',')
+        .map(|r| r.trim().to_string())
+        .filter(|r| !r.is_empty())
+        .collect()
 }
 
 /// Parse an `impl`/`trait` header starting at the keyword token.
@@ -320,7 +324,6 @@ fn parse_fn(
         i += 1;
     }
     // Return type and where clause, up to the body or `;`.
-    let mut returns_result = false;
     let sig_end;
     loop {
         match toks.get(i).map(|t| &t.kind) {
@@ -335,21 +338,15 @@ fn parse_fn(
                     self_type: self_type.clone(),
                     line: toks[kw].line,
                     has_rng_param: rng,
-                    returns_result,
                     is_test: false,
                     body: None,
                     end_line: toks[i].line,
                     allowed: BTreeSet::new(),
-                    cycle_ok: false,
                 };
                 return Some((item, i + 1));
             }
             Some(Tok::Ident(s)) => {
-                if s == "Result" {
-                    returns_result = true;
-                } else if s == "Rng" {
-                    rng = true;
-                }
+                rng |= s == "Rng";
                 i += 1;
             }
             Some(_) => i += 1,
@@ -381,12 +378,10 @@ fn parse_fn(
         self_type: self_type.clone(),
         line: toks[kw].line,
         has_rng_param: rng,
-        returns_result,
         is_test: false,
         body: Some((sig_end, close)),
         end_line: toks[close].line,
         allowed: BTreeSet::new(),
-        cycle_ok: false,
     };
     // Resume just past the open brace so nested fns are found; the
     // outer loop's depth tracking continues naturally.
@@ -413,8 +408,8 @@ pub(crate) fn is_keyword(t: &Token) -> bool {
     matches!(&t.kind, Tok::Ident(s) if KW.contains(&s.as_str()))
 }
 
-/// Convenience for rule code: is token `i` the head of a call
-/// (`ident (`), excluding definitions and macros?
+/// Is token `i` the head of a call (`ident (`), excluding definitions
+/// and macros?
 pub(crate) fn is_call_at(toks: &[Token], i: usize) -> bool {
     if is_keyword(&toks[i]) {
         return false;
@@ -450,8 +445,6 @@ mod tests {
         assert_eq!(f.fns.len(), 2);
         assert_eq!(f.fns[0].qual_name, "probe");
         assert!(f.fns[0].has_rng_param);
-        assert!(!f.fns[0].returns_result);
-        assert!(f.fns[1].returns_result);
         assert!(!f.fns[1].has_rng_param);
     }
 
@@ -501,9 +494,8 @@ mod tests {
              fn plain() {}\n",
         );
         assert!(f.fns[0].allows("rng-plumbing"));
-        assert!(!f.fns[0].cycle_ok);
-        assert!(f.fns[1].cycle_ok);
-        assert!(!f.fns[2].cycle_ok);
+        assert!(!f.fns[0].allows("cycle-ok"));
+        assert!(f.fns[1].allows("cycle-ok"));
         assert!(f.fns[2].allowed.is_empty());
     }
 

@@ -44,7 +44,7 @@ pub struct Token {
 }
 
 /// A comment (line or block) with its starting line — kept out of the
-/// token stream but retained for `// dhs-lint: allow(...)` directives.
+/// token stream but retained for `// dhs-flow: …` directives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Comment {
     /// 1-based line the comment starts on.

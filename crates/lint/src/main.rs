@@ -1,12 +1,12 @@
-//! `dhs-lint` CLI: lint the workspace (or explicit paths) and print
-//! findings as deterministic JSONL on stdout.
+//! `dhs-lint` CLI: lint the workspace and print findings as
+//! deterministic JSONL on stdout — the metric-name token rule and the
+//! flow rules in one pass, one report.
 //!
 //! Usage:
 //!
 //! ```text
-//! dhs-lint                 # token rules over the enclosing workspace
-//! dhs-lint <dir>           # token rules over the workspace at <dir>
-//! dhs-lint --flow [dir]    # interprocedural flow rules instead
+//! dhs-lint          # the enclosing workspace
+//! dhs-lint <dir>    # the workspace at <dir>
 //! ```
 //!
 //! Exit status: 0 when clean, 1 when any finding survives, 2 on I/O
@@ -16,16 +16,18 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dhs_lint::walk::find_workspace_root;
-use dhs_lint::{flow_workspace, lint_workspace, render_flow_jsonl, render_jsonl};
+use dhs_lint::{lint_workspace, render_jsonl};
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let flow = args.iter().any(|a| a == "--flow");
-    args.retain(|a| a != "--flow");
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let root = match args.as_slice() {
         [] => {
             // Prefer the manifest dir so `cargo run -p dhs-lint` works
             // from any subdirectory; fall back to the cwd.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "locates the workspace to lint; no setting is read"
+            )]
             let start = std::env::var_os("CARGO_MANIFEST_DIR")
                 .map(PathBuf::from)
                 .or_else(|| std::env::current_dir().ok());
@@ -39,26 +41,14 @@ fn main() -> ExitCode {
         }
         [dir] => PathBuf::from(dir),
         _ => {
-            eprintln!("usage: dhs-lint [--flow] [workspace-root]");
+            eprintln!("usage: dhs-lint [workspace-root]");
             return ExitCode::from(2);
         }
     };
-
-    let rendered = if flow {
-        flow_workspace(&root).map(|(findings, stats)| {
-            let clean = findings.is_empty();
-            (render_flow_jsonl(&findings, &stats), clean)
-        })
-    } else {
-        lint_workspace(&root).map(|(findings, files_scanned)| {
-            let clean = findings.is_empty();
-            (render_jsonl(&findings, files_scanned), clean)
-        })
-    };
-    match rendered {
-        Ok((out, clean)) => {
-            print!("{out}");
-            if clean {
+    match lint_workspace(&root) {
+        Ok((findings, stats)) => {
+            print!("{}", render_jsonl(&findings, &stats));
+            if findings.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)

@@ -1,15 +1,27 @@
 //! Deterministic JSONL rendering of findings.
 //!
 //! One JSON object per finding, sorted by (path, line, rule), plus a
-//! trailing summary object. Everything is rendered by hand (no JSON
+//! trailing summary object ([`Stats`]). Everything is rendered by hand (no JSON
 //! dependency) with stable field order, so two runs over the same tree
 //! are byte-identical — `scripts/check.sh` diffs them to prove it.
 
-use crate::flow::FlowStats;
 use crate::rules::Finding;
 
-/// One JSON object per finding, sorted.
-fn render_findings(findings: &[Finding]) -> String {
+/// What one run covered, rendered into the report's trailing line so
+/// coverage regressions are visible in diffs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stats {
+    /// Source files read.
+    pub files_scanned: usize,
+    /// Non-test fns in the flow call graph.
+    pub functions: usize,
+    /// Call edges (sites naming exactly one workspace fn).
+    pub resolved_edges: usize,
+}
+
+/// Render findings, one JSON object per line sorted by (path, line,
+/// rule), plus the summary line.
+pub fn render_jsonl(findings: &[Finding], stats: &Stats) -> String {
     let mut sorted: Vec<&Finding> = findings.iter().collect();
     sorted.sort();
     let mut out = String::new();
@@ -22,28 +34,6 @@ fn render_findings(findings: &[Finding]) -> String {
             escape(&f.snippet),
         ));
     }
-    out
-}
-
-/// Render findings (plus a summary line) as JSONL.
-///
-/// The caller passes `files_scanned` so the summary reflects coverage
-/// even when there are zero findings.
-pub fn render_jsonl(findings: &[Finding], files_scanned: usize) -> String {
-    let mut out = render_findings(findings);
-    out.push_str(&format!(
-        "{{\"files_scanned\":{},\"findings\":{}}}\n",
-        files_scanned,
-        findings.len()
-    ));
-    out
-}
-
-/// Render flow findings plus the flow summary line as JSONL. Finding
-/// lines share the token-rule shape; the summary additionally carries
-/// call-graph statistics so coverage regressions are visible in diffs.
-pub fn render_flow_jsonl(findings: &[Finding], stats: &FlowStats) -> String {
-    let mut out = render_findings(findings);
     out.push_str(&format!(
         "{{\"files_scanned\":{},\"functions\":{},\"resolved_edges\":{},\"findings\":{}}}\n",
         stats.files_scanned,
@@ -77,94 +67,52 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn finding(path: &str, line: u32, rule: &'static str) -> Finding {
+    const STATS: Stats = Stats {
+        files_scanned: 5,
+        functions: 12,
+        resolved_edges: 9,
+    };
+
+    fn finding(path: &str, line: u32, snippet: &str) -> Finding {
         Finding {
             path: path.to_string(),
             line,
-            rule,
-            snippet: format!("snippet {line}"),
+            rule: "metric_names",
+            snippet: snippet.to_string(),
         }
     }
 
     #[test]
-    fn sorted_by_path_then_line() {
+    fn sorted_by_path_then_line_with_summary() {
         let fs = vec![
-            finding("b.rs", 1, "lossy_cast"),
-            finding("a.rs", 9, "determinism"),
-            finding("a.rs", 2, "panic_hygiene"),
+            finding("b.rs", 1, ""),
+            finding("a.rs", 9, ""),
+            finding("a.rs", 2, ""),
         ];
-        let out = render_jsonl(&fs, 3);
+        let out = render_jsonl(&fs, &STATS);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"a.rs\"") && lines[0].contains("\"line\":2"));
         assert!(lines[1].contains("\"a.rs\"") && lines[1].contains("\"line\":9"));
         assert!(lines[2].contains("\"b.rs\""));
-        assert_eq!(lines[3], "{\"files_scanned\":3,\"findings\":3}");
-    }
-
-    #[test]
-    fn escapes_quotes_and_control_chars() {
-        let mut f = finding("a.rs", 1, "metric_names");
-        f.snippet = "incr(\"x\")\t".to_string();
-        let out = render_jsonl(&[f], 1);
-        assert!(out.contains("incr(\\\"x\\\")\\t"), "{out}");
-    }
-
-    #[test]
-    fn empty_findings_still_emit_summary() {
-        let out = render_jsonl(&[], 42);
-        assert_eq!(out, "{\"files_scanned\":42,\"findings\":0}\n");
-    }
-
-    #[test]
-    fn escapes_backslashes_byte_exact() {
-        let mut f = finding("a.rs", 1, "determinism");
-        f.snippet = r#"let p = "C:\\tmp"; // say "hi""#.to_string();
-        let out = render_jsonl(&[f], 1);
         assert_eq!(
-            out.lines().next().unwrap(),
-            "{\"path\":\"a.rs\",\"line\":1,\"rule\":\"determinism\",\
-             \"snippet\":\"let p = \\\"C:\\\\\\\\tmp\\\"; // say \\\"hi\\\"\"}"
+            lines[3],
+            "{\"files_scanned\":5,\"functions\":12,\"resolved_edges\":9,\"findings\":3}"
+        );
+    }
+
+    #[test]
+    fn escapes_quotes_backslashes_and_control_chars() {
+        let out = render_jsonl(&[finding("a.rs", 1, "incr(\"C:\\x\")\t\u{01}")], &STATS);
+        assert!(
+            out.contains("\"snippet\":\"incr(\\\"C:\\\\x\\\")\\t\\u0001\""),
+            "{out}"
         );
     }
 
     #[test]
     fn non_ascii_passes_through_unescaped() {
-        let mut f = finding("a.rs", 7, "metric_names");
-        f.snippet = "θ0 = 0.7 → café ✓".to_string();
-        let out = render_jsonl(&[f], 1);
+        let out = render_jsonl(&[finding("a.rs", 7, "θ0 = 0.7 → café ✓")], &STATS);
         assert!(out.contains("\"snippet\":\"θ0 = 0.7 → café ✓\""), "{out}");
-        // Two renders are byte-identical (determinism of the escaper).
-        let f2 = {
-            let mut f2 = finding("a.rs", 7, "metric_names");
-            f2.snippet = "θ0 = 0.7 → café ✓".to_string();
-            f2
-        };
-        assert_eq!(out, render_jsonl(&[f2], 1));
-    }
-
-    #[test]
-    fn control_chars_use_unicode_escapes() {
-        let mut f = finding("a.rs", 3, "panic_hygiene");
-        f.snippet = "a\u{01}b\u{1f}c".to_string();
-        let out = render_jsonl(&[f], 1);
-        assert!(out.contains("a\\u0001b\\u001fc"), "{out}");
-    }
-
-    #[test]
-    fn flow_summary_carries_graph_stats() {
-        let stats = FlowStats {
-            files_scanned: 5,
-            functions: 12,
-            resolved_edges: 9,
-        };
-        let out = render_flow_jsonl(&[finding("a.rs", 1, "rng-plumbing")], &stats);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[1],
-            "{\"files_scanned\":5,\"functions\":12,\"resolved_edges\":9,\
-             \"findings\":1}"
-        );
     }
 }

@@ -1,37 +1,30 @@
-//! The rule engine: pattern-match the token stream of one file against
-//! the repo's invariant rules.
+//! The token rule: pattern-match the token stream of one file.
 //!
-//! Rule catalog (ids are what `// dhs-lint: allow(<rule>)` takes):
+//! One rule lives here, `metric_names`: string literals (and values
+//! that const-propagate to strings) at recorder call sites must be
+//! names registered in `dhs_obs::names`. Clippy cannot say this — it
+//! would need the registry's contents. Everything a type-aware tool can
+//! say (wall clocks, threads, hash-ordered containers, environment
+//! reads, truncating casts, panics, discarded results) is clippy's, set
+//! in the workspace `clippy.toml` and `[workspace.lints.clippy]`.
 //!
-//! | id              | guards against                                            |
-//! |-----------------|-----------------------------------------------------------|
-//! | `determinism`   | wall-clock / entropy / hash-order on the replay path      |
-//! | `lossy_cast`    | silent `as` narrowing (the PR 3 `m > 65536` bug class)    |
-//! | `metric_names`  | metric/span name literals not in `dhs_obs::names`         |
-//! | `panic_hygiene` | `unwrap()` / `expect()` / `panic!` in library code        |
-//!
-//! Scope gating is by path (see [`FileClass`]): `#[cfg(test)]` regions
-//! are always exempt, as are the `shims` crates, the lint crate itself
-//! (whose sources and fixtures necessarily spell out the forbidden
-//! patterns) and — except for `metric_names` — `bench`.
+//! Scope is by path (see [`classify`]): library sources of the crates
+//! not in [`METRIC_NAME_OPT_OUT`]; `#[cfg(test)]` regions are exempt.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{lex, Tok, Token};
 
-/// Crates opted *out* of the deterministic-replay rules. Everything
-/// else in the workspace (including crates added by future PRs and the
-/// root facade crate) is on the replay path by default: two same-seed
-/// runs must be byte-identical, so wall clocks, OS entropy, and
-/// hash-iteration order are banned outright. The old allowlists
-/// (`REPLAY_CRATES`/`METRIC_NAME_CRATES`) had to be hand-extended every
-/// PR and went stale; `tests/workspace.rs` asserts these opt-outs stay
-/// a subset of the actual `Cargo.toml` members.
+/// Crates opted *out* of the replay-path flow rules (`rng-plumbing`,
+/// `recursion-bound`). Everything else in the workspace (including
+/// crates added later and the root facade crate) is on the replay path
+/// by default; `tests/workspace.rs` asserts these opt-outs stay a
+/// subset of the actual `Cargo.toml` members.
 pub const REPLAY_OPT_OUT: &[&str] = &[
     "baselines", // offline estimator references, not replayed
-    "bench",     // experiment harness: casts and `expect`s not triaged
+    "bench",     // experiment harness, not replayed itself
     "histogram", // plotting/report helper, no replay surface
-    "lint",      // this tool (its sources spell out banned patterns)
+    "lint",      // this tool
     "shims",     // vendored stand-ins for external crates
 ];
 
@@ -60,19 +53,10 @@ pub fn metric_name_scope(crate_name: &str) -> bool {
 }
 
 /// Is this file in scope for the interprocedural flow analysis?
-/// Library sources of the replay crates: the flow rules guard replay
-/// invariants (RNG plumbing, delivery results, bounded recursion), so
-/// they run exactly where the replay token rules run.
+/// Library sources of the replay crates.
 pub fn flow_scope(class: &FileClass) -> bool {
     class.is_library && replay_scope(&class.crate_name)
 }
-
-/// The only replay-path modules allowed to spawn threads or take locks:
-/// dhs-par's sharded driver, whose fan-in merge is what *makes* threading
-/// deterministic. Everywhere else on the replay path, `spawn`/`Mutex`/
-/// `RwLock` (and unseeded per-thread RNGs, already covered by the
-/// `thread_rng`/`from_entropy` checks) are determinism violations.
-pub const THREADING_APPROVED: &[&str] = &["crates/par/src/driver.rs"];
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -81,7 +65,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line number.
     pub line: u32,
-    /// Rule id (`determinism`, `lossy_cast`, …).
+    /// Rule id (`metric_names`, `rng-plumbing`, `recursion-bound`).
     pub rule: &'static str,
     /// The trimmed source line, for humans reading the JSONL.
     pub snippet: String,
@@ -95,51 +79,22 @@ pub struct FileClass {
     pub crate_name: String,
     /// Library source (`src/` of a workspace crate or the root crate).
     pub is_library: bool,
-    /// Test target (`tests/` directory at crate or workspace level).
-    pub is_test_target: bool,
-    /// Example target (workspace `examples/`).
-    pub is_example: bool,
-    /// Entirely exempt (shims, bench, the lint crate itself).
-    pub exempt: bool,
 }
 
-/// Classify a workspace-relative path (forward slashes). Paths routed
-/// through a `fixtures/` directory are classified by the part after it,
-/// so fixture corpora can mirror real workspace layouts.
+/// Classify a workspace-relative path (forward slashes).
 pub fn classify(path: &str) -> FileClass {
-    let p = match path.rfind("fixtures/") {
-        Some(i) => &path[i + "fixtures/".len()..],
-        None => path,
-    };
-    let none = FileClass {
-        crate_name: String::new(),
-        is_library: false,
-        is_test_target: false,
-        is_example: false,
-        exempt: true,
-    };
-    if !p.ends_with(".rs") {
-        return none;
-    }
-    if let Some(rest) = p.strip_prefix("crates/") {
-        let mut parts = rest.splitn(2, '/');
-        let krate = parts.next().unwrap_or("");
-        let tail = parts.next().unwrap_or("");
-        let exempt = matches!(krate, "shims" | "bench" | "lint");
-        return FileClass {
-            crate_name: krate.to_string(),
-            is_library: tail.starts_with("src/"),
-            is_test_target: tail.starts_with("tests/"),
-            is_example: tail.starts_with("examples/"),
-            exempt,
-        };
-    }
-    FileClass {
-        crate_name: "(root)".to_string(),
-        is_library: p.starts_with("src/"),
-        is_test_target: p.starts_with("tests/"),
-        is_example: p.starts_with("examples/"),
-        exempt: false,
+    match path.strip_prefix("crates/") {
+        Some(rest) => {
+            let (krate, tail) = rest.split_once('/').unwrap_or((rest, ""));
+            FileClass {
+                crate_name: krate.to_string(),
+                is_library: tail.starts_with("src/"),
+            }
+        }
+        None => FileClass {
+            crate_name: "(root)".to_string(),
+            is_library: path.starts_with("src/"),
+        },
     }
 }
 
@@ -154,14 +109,6 @@ pub struct NameSet {
 }
 
 impl NameSet {
-    /// Build from an iterator of canonical names.
-    pub fn from_names<I: IntoIterator<Item = String>>(names: I) -> Self {
-        NameSet {
-            names: names.into_iter().collect(),
-            consts: BTreeMap::new(),
-        }
-    }
-
     /// Parse the canonical table out of `names.rs` source: every
     /// `const IDENT: &str = "…";` item contributes its value, keyed by
     /// ident for call-site constant propagation.
@@ -202,11 +149,6 @@ impl NameSet {
         self.consts.get(ident).map(String::as_str)
     }
 
-    /// Number of canonical names.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
     /// True when no names were registered.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
@@ -214,44 +156,21 @@ impl NameSet {
 }
 
 /// Lint one file's source. `path` must be workspace-relative with
-/// forward slashes; it selects the rule set via [`classify`].
+/// forward slashes; it selects the scope via [`classify`].
 pub fn lint_source(path: &str, source: &str, names: &NameSet) -> Vec<Finding> {
     let class = classify(path);
-    // The bench crate stays exempt from the determinism/cast/panic rules
-    // (measurement code legitimately wants wall clocks and quick casts),
-    // but since PR 7 its library sources emit the `ablation.*` KPI
-    // metrics, so the metric-name rule alone still applies there.
-    let bench_names_only = class.exempt && class.crate_name == "bench" && class.is_library;
-    if (class.exempt && !bench_names_only) || class.is_test_target {
+    if !class.is_library || !metric_name_scope(&class.crate_name) {
         return Vec::new();
     }
     let lexed = lex(source);
     let lines: Vec<&str> = source.lines().collect();
-    let allows = allow_map(&lexed.comments, &lexed.tokens);
-    let test_lines = cfg_test_lines(&lexed.tokens);
-
     let mut ctx = Ctx {
         path,
         lines: &lines,
-        allows: &allows,
-        test_lines: &test_lines,
+        test_lines: &cfg_test_lines(&lexed.tokens),
         findings: Vec::new(),
     };
-
-    let on_replay_path = replay_scope(&class.crate_name);
-    if !bench_names_only {
-        if (class.is_library && on_replay_path) || class.is_example {
-            determinism(&mut ctx, &lexed.tokens);
-        }
-        if class.is_library {
-            lossy_cast(&mut ctx, &lexed.tokens);
-            panic_hygiene(&mut ctx, &lexed.tokens);
-        }
-    }
-    if class.is_library && metric_name_scope(&class.crate_name) {
-        metric_names(&mut ctx, &lexed.tokens, names);
-    }
-
+    metric_names(&mut ctx, &lexed.tokens, names);
     ctx.findings.sort();
     ctx.findings.dedup();
     ctx.findings
@@ -260,7 +179,6 @@ pub fn lint_source(path: &str, source: &str, names: &NameSet) -> Vec<Finding> {
 struct Ctx<'a> {
     path: &'a str,
     lines: &'a [&'a str],
-    allows: &'a BTreeMap<u32, BTreeSet<String>>,
     test_lines: &'a [(u32, u32)],
     findings: Vec<Finding>,
 }
@@ -274,11 +192,6 @@ impl Ctx<'_> {
         {
             return;
         }
-        if let Some(rules) = self.allows.get(&line) {
-            if rules.contains(rule) {
-                return;
-            }
-        }
         let snippet = self
             .lines
             .get(line as usize - 1)
@@ -291,75 +204,6 @@ impl Ctx<'_> {
             snippet,
         });
     }
-}
-
-/// Map each source line to the set of rules allowed on it.
-///
-/// `// dhs-lint: allow(rule)` (optionally `allow(a, b)`) suppresses the
-/// rule on its own line (trailing comment) or, when the comment stands on
-/// its own line(s), on the next code line. Consecutive comment-only lines
-/// accumulate, so a directive followed by explanation lines still covers
-/// the code below. "Comment-only" is judged by the token stream (no token
-/// lands on the line), so text tricks like a leading `*` deref cannot be
-/// mistaken for a block-comment interior.
-pub(crate) fn allow_map(
-    comments: &[crate::lexer::Comment],
-    toks: &[Token],
-) -> BTreeMap<u32, BTreeSet<String>> {
-    directive_map(comments, toks, "dhs-lint:")
-}
-
-/// [`allow_map`] generalized over the directive marker, so the flow
-/// analysis can reuse the exact same placement semantics for
-/// `// dhs-flow: allow(<rule>)`.
-pub(crate) fn directive_map(
-    comments: &[crate::lexer::Comment],
-    toks: &[Token],
-    marker: &str,
-) -> BTreeMap<u32, BTreeSet<String>> {
-    let code_lines: BTreeSet<u32> = toks.iter().map(|t| t.line).collect();
-    let last_line = code_lines.iter().next_back().copied().unwrap_or(0);
-    let mut directives: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
-    for c in comments {
-        let rules = parse_allow(&c.text, marker);
-        if !rules.is_empty() {
-            directives.entry(c.line).or_default().extend(rules);
-        }
-    }
-    let mut map: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
-    for (&line, rules) in &directives {
-        if code_lines.contains(&line) {
-            // Trailing comment: covers its own line.
-            map.entry(line).or_default().extend(rules.iter().cloned());
-            continue;
-        }
-        // Comment-only line: the directive covers the next line that
-        // carries any token.
-        if let Some(&target) = code_lines.range(line + 1..=last_line.max(line)).next() {
-            map.entry(target).or_default().extend(rules.iter().cloned());
-        }
-    }
-    map
-}
-
-/// Extract rule ids from one comment's `<marker> allow(…)` directive
-/// (`marker` is `"dhs-lint:"` or `"dhs-flow:"`).
-pub(crate) fn parse_allow(text: &str, marker: &str) -> Vec<String> {
-    let Some(i) = text.find(marker) else {
-        return Vec::new();
-    };
-    let rest = text[i + marker.len()..].trim_start();
-    let Some(rest) = rest.strip_prefix("allow(") else {
-        return Vec::new();
-    };
-    let Some(end) = rest.find(')') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect()
 }
 
 /// Line ranges covered by `#[cfg(test)]` items (almost always the
@@ -433,173 +277,6 @@ fn item_extent(toks: &[Token], start: usize) -> Option<(u32, u32)> {
         }
     }
     None
-}
-
-// ---------------------------------------------------------------------
-// determinism
-// ---------------------------------------------------------------------
-
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-];
-
-fn determinism(ctx: &mut Ctx<'_>, toks: &[Token]) {
-    // Threading primitives are only legitimate in the approved driver
-    // modules (compare with the `fixtures/` prefix stripped, like
-    // `classify`, so fixture corpora can cover both sides).
-    let stripped = match ctx.path.rfind("fixtures/") {
-        Some(i) => &ctx.path[i + "fixtures/".len()..],
-        None => ctx.path,
-    };
-    let threading_approved = THREADING_APPROVED.contains(&stripped);
-    // Pass 1: identifiers declared with a HashMap/HashSet type.
-    let mut hash_idents: BTreeSet<&str> = BTreeSet::new();
-    for i in 0..toks.len() {
-        if !is_hash_ty(&toks[i].kind) {
-            continue;
-        }
-        // See through a leading path (`std::collections::HashMap`).
-        let mut start = i;
-        while start >= 3
-            && matches(toks, start - 2, &[p(':'), p(':')])
-            && matches!(toks[start - 3].kind, Tok::Ident(_))
-        {
-            start -= 3;
-        }
-        // `name: [&[mut]] HashMap<…>` (struct field / param / let with
-        // type) — skip reference/mut prefixes back to the `:`.
-        let mut k = start;
-        while k >= 1 && (toks[k - 1].kind == Tok::Punct('&') || is_ident(&toks[k - 1], "mut")) {
-            k -= 1;
-        }
-        if k >= 2 && toks[k - 1].kind == Tok::Punct(':') {
-            if let Tok::Ident(name) = &toks[k - 2].kind {
-                hash_idents.insert(name);
-            }
-        }
-        // `let [mut] name … = HashMap::…;` — scan back to the `let` of
-        // the statement (bounded window keeps this O(1) per token).
-        for back in 1..=8usize {
-            let Some(j) = start.checked_sub(back) else {
-                break;
-            };
-            match &toks[j].kind {
-                Tok::Ident(s) if s == "let" => {
-                    let k = if is_ident_at(toks, j + 1, "mut") {
-                        j + 2
-                    } else {
-                        j + 1
-                    };
-                    if let Some(Tok::Ident(name)) = toks.get(k).map(|t| &t.kind) {
-                        hash_idents.insert(name);
-                    }
-                    break;
-                }
-                Tok::Punct(';') | Tok::Punct('{') | Tok::Punct('}') => break,
-                _ => {}
-            }
-        }
-    }
-
-    for i in 0..toks.len() {
-        let line = toks[i].line;
-        match &toks[i].kind {
-            Tok::Ident(s) if s == "SystemTime" || s == "thread_rng" || s == "from_entropy" => {
-                ctx.report(line, "determinism");
-            }
-            // Bare threading/locking outside the approved driver modules:
-            // un-merged cross-thread effects are exactly the hash-order
-            // bug class with extra steps.
-            Tok::Ident(s) if !threading_approved && (s == "Mutex" || s == "RwLock") => {
-                ctx.report(line, "determinism");
-            }
-            Tok::Ident(s)
-                if !threading_approved
-                    && s == "spawn"
-                    && toks.get(i + 1).map(|t| &t.kind) == Some(&Tok::Punct('(')) =>
-            {
-                ctx.report(line, "determinism");
-            }
-            Tok::Ident(s)
-                if s == "Instant"
-                    && matches(toks, i + 1, &[p(':'), p(':')])
-                    && is_ident_at(toks, i + 3, "now") =>
-            {
-                ctx.report(line, "determinism");
-            }
-            // `map.iter()` / `self.map.drain()` on a hash-typed name.
-            Tok::Ident(name) if hash_idents.contains(name.as_str()) => {
-                if matches(toks, i + 1, &[p('.')]) {
-                    if let Some(Tok::Ident(m)) = toks.get(i + 2).map(|t| &t.kind) {
-                        if ITER_METHODS.contains(&m.as_str())
-                            && toks.get(i + 3).map(|t| &t.kind) == Some(&Tok::Punct('('))
-                        {
-                            ctx.report(line, "determinism");
-                        }
-                    }
-                }
-                // `for x in &map {` / `for x in map {`.
-                if is_for_in_target(toks, i) {
-                    ctx.report(line, "determinism");
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn is_hash_ty(kind: &Tok) -> bool {
-    matches!(kind, Tok::Ident(s) if s == "HashMap" || s == "HashSet")
-}
-
-/// Is the identifier at `i` the final target of a `for … in [&[mut]] …`
-/// header (i.e. directly followed by the loop body brace)?
-fn is_for_in_target(toks: &[Token], i: usize) -> bool {
-    if toks.get(i + 1).map(|t| &t.kind) != Some(&Tok::Punct('{')) {
-        return false;
-    }
-    // Walk back over a `self.`-style path and `&`/`mut` prefixes to find
-    // the `in` keyword within a small window.
-    let mut j = i;
-    for _ in 0..6 {
-        let Some(k) = j.checked_sub(1) else {
-            return false;
-        };
-        match &toks[k].kind {
-            Tok::Punct('.') | Tok::Punct('&') => j = k,
-            Tok::Ident(s) if s == "self" || s == "mut" => j = k,
-            Tok::Ident(s) if s == "in" => return true,
-            _ => return false,
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------
-// lossy_cast
-// ---------------------------------------------------------------------
-
-const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "usize"];
-
-fn lossy_cast(ctx: &mut Ctx<'_>, toks: &[Token]) {
-    for i in 0..toks.len().saturating_sub(1) {
-        if is_ident(&toks[i], "as") {
-            if let Tok::Ident(ty) = &toks[i + 1].kind {
-                if NARROW_TARGETS.contains(&ty.as_str()) {
-                    ctx.report(toks[i].line, "lossy_cast");
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -831,34 +508,6 @@ fn metric_names(ctx: &mut Ctx<'_>, toks: &[Token], names: &NameSet) {
             }
         }
         i = j;
-    }
-}
-
-// ---------------------------------------------------------------------
-// panic_hygiene
-// ---------------------------------------------------------------------
-
-fn panic_hygiene(ctx: &mut Ctx<'_>, toks: &[Token]) {
-    for i in 0..toks.len() {
-        match &toks[i].kind {
-            // `.unwrap()` / `.expect(` — exact method names only
-            // (`unwrap_or` is a different token and stays legal).
-            Tok::Ident(s)
-                if (s == "unwrap" || s == "expect")
-                    && i >= 1
-                    && toks[i - 1].kind == Tok::Punct('.')
-                    && toks.get(i + 1).map(|t| &t.kind) == Some(&Tok::Punct('(')) =>
-            {
-                ctx.report(toks[i].line, "panic_hygiene");
-            }
-            Tok::Ident(s)
-                if (s == "panic" || s == "todo" || s == "unimplemented")
-                    && toks.get(i + 1).map(|t| &t.kind) == Some(&Tok::Punct('!')) =>
-            {
-                ctx.report(toks[i].line, "panic_hygiene");
-            }
-            _ => {}
-        }
     }
 }
 

@@ -1,12 +1,16 @@
 //! Workspace traversal: find the `.rs` files to lint, in a stable
-//! sorted order, and run the rules over all of them.
+//! sorted order, and run every rule over all of them in one pass.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::flow::{flow_files, FlowStats};
+use crate::flow::flow_files;
+use crate::report::Stats;
 use crate::rules::{lint_source, Finding, NameSet};
+
+/// Where the canonical metric-name table lives, workspace-relative.
+pub const NAMES_PATH: &str = "crates/obs/src/names.rs";
 
 /// Directories scanned relative to the workspace root.
 pub const SCAN_ROOTS: &[&str] = &["crates", "src", "examples", "tests"];
@@ -145,41 +149,32 @@ fn toml_string_array(text: &str, key: &str) -> Vec<String> {
         .collect()
 }
 
-/// Locate the canonical name table (`crates/obs/src/names.rs`) under
-/// `root`, if present.
-pub fn find_names_source(root: &Path) -> Option<PathBuf> {
-    let p = root.join("crates/obs/src/names.rs");
-    p.is_file().then_some(p)
-}
-
-/// Lint every source file under `root`. Returns `(findings,
-/// files_scanned)`.
-pub fn lint_workspace(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
-    let names = match find_names_source(root) {
-        Some(p) => NameSet::parse(&fs::read_to_string(p)?),
-        None => NameSet::default(),
-    };
-    let files = rust_sources(root)?;
-    let mut findings = Vec::new();
-    for rel in &files {
-        let source = fs::read_to_string(root.join(rel))?;
-        findings.extend(lint_source(rel, &source, &names));
+/// Run every rule over `(path, source)` pairs taken as one workspace:
+/// the metric-name token rule per file, against the table at
+/// [`NAMES_PATH`] among the inputs (empty if absent), and the flow
+/// rules over their call graph. Findings come back sorted.
+pub fn lint_files(inputs: &[(String, String)]) -> (Vec<Finding>, Stats) {
+    let names = inputs
+        .iter()
+        .find(|(path, _)| path == NAMES_PATH)
+        .map(|(_, source)| NameSet::parse(source))
+        .unwrap_or_default();
+    let (mut findings, stats) = flow_files(inputs);
+    for (path, source) in inputs {
+        findings.extend(lint_source(path, source, &names));
     }
     findings.sort();
-    Ok((findings, files.len()))
+    (findings, stats)
 }
 
-/// Run the interprocedural flow analysis over every source file under
-/// `root`. Scope filtering (library-only, exempt crates out) happens
-/// inside [`flow_files`].
-pub fn flow_workspace(root: &Path) -> io::Result<(Vec<Finding>, FlowStats)> {
-    let files = rust_sources(root)?;
-    let mut inputs = Vec::with_capacity(files.len());
-    for rel in files {
+/// Read every source file under `root` and [`lint_files`] them.
+pub fn lint_workspace(root: &Path) -> io::Result<(Vec<Finding>, Stats)> {
+    let mut inputs = Vec::new();
+    for rel in rust_sources(root)? {
         let source = fs::read_to_string(root.join(&rel))?;
         inputs.push((rel, source));
     }
-    Ok(flow_files(&inputs))
+    Ok(lint_files(&inputs))
 }
 
 /// Walk upward from `start` to the directory containing the workspace

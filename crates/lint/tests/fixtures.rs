@@ -1,113 +1,75 @@
-//! Fixture corpus tests: each fixture file under `fixtures/` (a mirror
-//! of the real workspace layout) must produce byte-for-byte the JSONL
+//! Fixture corpus: each case under `fixtures/<case>/` is a
+//! mini-workspace; linting it must produce byte-for-byte the JSONL
 //! recorded in `fixtures/expected/<case>.jsonl`.
 //!
 //! Regenerate the expected files with
 //! `cargo run -p dhs-lint --example gen_expected` after an intentional
 //! rule change — and eyeball the diff.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test helpers fail loudly"
+)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dhs_lint::{classify, lint_source, render_jsonl, NameSet};
+use dhs_lint::{lint_workspace, render_jsonl};
 
-fn fixture_root() -> PathBuf {
+fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
 }
 
-/// The canonical-name table every fixture case is linted against.
-fn names() -> NameSet {
-    // Exercise the textual names.rs parser, not just `from_names`.
-    NameSet::parse(
-        r#"
-        /// Canonical.
-        pub const OP_INSERT: &str = "op.insert";
-        /// Canonical.
-        pub const LATENCY_TICKS: &str = "latency.ticks";
-        "#,
-    )
+fn run(case: &str) -> String {
+    let (findings, stats) = lint_workspace(&fixtures().join(case)).unwrap();
+    assert!(stats.files_scanned > 0, "fixture `{case}` has no sources");
+    render_jsonl(&findings, &stats)
 }
 
-fn check(case: &str, rel: &str) {
-    let root = fixture_root();
-    let src = fs::read_to_string(root.join(rel)).unwrap();
-    let findings = lint_source(&format!("fixtures/{rel}"), &src, &names());
-    let got = render_jsonl(&findings, 1);
-    let want = fs::read_to_string(root.join("expected").join(format!("{case}.jsonl"))).unwrap();
+fn check(case: &str) -> String {
+    let got = run(case);
+    let want = fs::read_to_string(fixtures().join("expected").join(format!("{case}.jsonl")))
+        .unwrap_or_else(|e| panic!("expected JSONL for `{case}`: {e}"));
     assert_eq!(got, want, "fixture `{case}` JSONL drifted");
+    got
 }
 
 #[test]
-fn clean_file_reports_nothing() {
-    check("clean", "crates/core/src/clean.rs");
+fn a_workspace_that_keeps_every_rule_reports_nothing() {
+    assert!(check("clean").ends_with("\"findings\":0}\n"));
 }
 
 #[test]
-fn determinism_violations_are_found() {
-    check("determinism", "crates/core/src/determinism.rs");
+fn off_registry_metric_names_are_found_literal_and_propagated() {
+    let got = check("metric_names");
+    assert_eq!(got.matches("metric_names").count(), 4, "{got}");
+    // Two come from constant propagation, not the literal scan: the
+    // const concat and the single-assignment local resolve to
+    // non-canonical values; the poisoned `mut` binding is skipped.
+    assert!(got.contains("rec.incr(BAD_NAME, 1);"), "{got}");
+    assert!(got.contains("rec.observe(typo, v);"), "{got}");
+    assert!(!got.contains("rec.observe(dynamic, v);"), "{got}");
 }
 
 #[test]
-fn lossy_casts_are_found() {
-    check("lossy_cast", "crates/core/src/lossy.rs");
+fn owned_rng_is_flagged_and_every_plumbed_variant_is_clean() {
+    assert_eq!(check("plumbing").matches("rng-plumbing").count(), 1);
 }
 
 #[test]
-fn off_registry_metric_names_are_found() {
-    check("metric_names", "crates/core/src/metrics.rs");
+fn unannotated_cycles_flagged_cycle_ok_and_field_methods_clean() {
+    let got = check("cycles");
+    assert!(!got.contains("route_bounded"), "cycle-ok silences: {got}");
+    assert!(
+        !got.contains("RouteCache"),
+        "field method ≠ self-loop: {got}"
+    );
 }
 
 #[test]
-fn propagated_const_and_local_metric_names_are_found() {
-    check("metric_flow", "crates/core/src/metric_flow.rs");
-    // Both findings come from constant propagation, not the literal
-    // scan: the const concat and the single-assignment local resolve
-    // to non-canonical values; the poisoned `mut` binding is skipped.
-    let root = fixture_root();
-    let src = fs::read_to_string(root.join("crates/core/src/metric_flow.rs")).unwrap();
-    let findings = lint_source("fixtures/crates/core/src/metric_flow.rs", &src, &names());
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-    assert!(findings.iter().all(|f| f.rule == "metric_names"));
-    assert!(findings[0].snippet.contains("BAD_NAME"), "{findings:#?}");
-    assert!(findings[1].snippet.contains("typo"), "{findings:#?}");
-}
-
-#[test]
-fn casual_panics_are_found() {
-    check("panic_hygiene", "crates/dht/src/panics.rs");
-}
-
-#[test]
-fn allow_directives_suppress_everything() {
-    check("allowed", "crates/core/src/allowed.rs");
-}
-
-#[test]
-fn ad_hoc_threading_is_found_on_the_replay_path() {
-    check("threading", "crates/core/src/threading.rs");
-}
-
-#[test]
-fn approved_driver_module_may_spawn_and_lock() {
-    check("threading_approved", "crates/par/src/driver.rs");
-}
-
-#[test]
-fn fixture_paths_classify_like_workspace_paths() {
-    let via_fixture = classify("fixtures/crates/core/src/determinism.rs");
-    let direct = classify("crates/core/src/determinism.rs");
-    assert_eq!(via_fixture, direct);
-    assert!(via_fixture.is_library);
-    assert_eq!(via_fixture.crate_name, "core");
-}
-
-#[test]
-fn linting_is_deterministic_per_file() {
-    let root = fixture_root();
-    let rel = "crates/core/src/determinism.rs";
-    let src = fs::read_to_string(root.join(rel)).unwrap();
-    let names = names();
-    let a = render_jsonl(&lint_source(rel, &src, &names), 1);
-    let b = render_jsonl(&lint_source(rel, &src, &names), 1);
-    assert_eq!(a, b, "same input must render byte-identical JSONL");
+fn linting_is_deterministic_per_case() {
+    for case in ["clean", "cycles", "metric_names", "plumbing"] {
+        assert_eq!(run(case), run(case), "case `{case}`");
+    }
 }

@@ -3,7 +3,7 @@
 
 use std::path::Path;
 
-use dhs_lint::{flow_workspace, lint_workspace, render_flow_jsonl, render_jsonl};
+use dhs_lint::{lint_workspace, render_jsonl};
 
 fn workspace_root() -> &'static Path {
     // crates/lint/../.. — the directory holding the workspace Cargo.toml.
@@ -12,28 +12,10 @@ fn workspace_root() -> &'static Path {
 
 #[test]
 fn real_workspace_has_zero_findings() {
-    let (findings, scanned) = lint_workspace(workspace_root()).unwrap();
-    assert!(scanned > 50, "suspiciously few files scanned: {scanned}");
-    assert!(
-        findings.is_empty(),
-        "workspace lint findings:\n{}",
-        render_jsonl(&findings, scanned)
-    );
-}
-
-#[test]
-fn two_runs_are_byte_identical() {
-    let (f1, n1) = lint_workspace(workspace_root()).unwrap();
-    let (f2, n2) = lint_workspace(workspace_root()).unwrap();
-    assert_eq!(render_jsonl(&f1, n1), render_jsonl(&f2, n2));
-}
-
-#[test]
-fn real_workspace_flow_has_zero_findings() {
-    let (findings, stats) = flow_workspace(workspace_root()).unwrap();
+    let (findings, stats) = lint_workspace(workspace_root()).unwrap();
     assert!(
         stats.files_scanned > 50,
-        "suspiciously few library files: {}",
+        "suspiciously few files scanned: {}",
         stats.files_scanned
     );
     assert!(
@@ -43,9 +25,16 @@ fn real_workspace_flow_has_zero_findings() {
     );
     assert!(
         findings.is_empty(),
-        "workspace flow findings:\n{}",
-        render_flow_jsonl(&findings, &stats)
+        "workspace lint findings:\n{}",
+        render_jsonl(&findings, &stats)
     );
+}
+
+#[test]
+fn two_runs_are_byte_identical() {
+    let (f1, s1) = lint_workspace(workspace_root()).unwrap();
+    let (f2, s2) = lint_workspace(workspace_root()).unwrap();
+    assert_eq!(render_jsonl(&f1, &s1), render_jsonl(&f2, &s2));
 }
 
 #[test]
@@ -74,11 +63,4 @@ fn opt_out_lists_stay_subsets_of_the_real_member_list() {
     assert!(replay.contains(&"workload".to_string()));
     let metric = dhs_lint::walk::derived_metric_name_crates(workspace_root()).unwrap();
     assert!(metric.contains(&"bench".to_string()) && !metric.contains(&"sketch".to_string()));
-}
-
-#[test]
-fn two_flow_runs_are_byte_identical() {
-    let (f1, s1) = flow_workspace(workspace_root()).unwrap();
-    let (f2, s2) = flow_workspace(workspace_root()).unwrap();
-    assert_eq!(render_flow_jsonl(&f1, &s1), render_flow_jsonl(&f2, &s2));
 }

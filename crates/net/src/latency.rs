@@ -36,7 +36,10 @@ pub enum LatencyModel {
 impl LatencyModel {
     /// Draw one per-hop delay. Always at least 1 tick — a zero-latency
     /// network would collapse the event ordering the queue exists for.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float→int: a rounded, finite delay, clamped to [1, cap]"
+    )]
     pub fn sample(&self, rng: &mut impl Rng) -> u64 {
         match *self {
             LatencyModel::Constant(t) => t.max(1),

@@ -188,6 +188,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the test reads the telemetry, not each exchange's outcome"
+    )]
     fn reorder_jitter_produces_inversions() {
         let faults = FaultPlane {
             duplication: 1.0,
@@ -216,6 +220,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the test reads the telemetry, not each exchange's outcome"
+    )]
     fn same_seed_identical_trace_digest() {
         let faults = FaultPlane {
             loss: 0.2,

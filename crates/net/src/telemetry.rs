@@ -213,7 +213,10 @@ impl NetTelemetry {
 
     /// Exact latency percentile (in ticks) over delivered copies, `q` in
     /// `[0, 1]`. Returns 0 when nothing was delivered.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float→int: an index < latencies.len()"
+    )]
     pub fn latency_percentile(&self, q: f64) -> u64 {
         let mut latencies: Vec<u64> = self
             .records
@@ -227,7 +230,6 @@ impl NetTelemetry {
             return 0;
         }
         latencies.sort_unstable();
-        // dhs-lint: allow(lossy_cast) — float→int: an index < latencies.len().
         let rank = ((latencies.len() - 1) as f64 * q.clamp(0.0, 1.0)).floor() as usize;
         latencies[rank]
     }

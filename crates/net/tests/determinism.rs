@@ -7,6 +7,7 @@
 //!    over `SimTransport` yields exactly the estimates, registers and
 //!    hop/byte/message charges of `DirectTransport` (the simulator adds
 //!    a clock, not behavior).
+#![expect(clippy::unwrap_used, reason = "test helpers fail loudly")]
 
 use proptest::prelude::*;
 

@@ -9,6 +9,7 @@
 //!    `DirectTransport` for an insert-and-count run over relation Q
 //!    (only the latency histograms may differ — the simulator adds a
 //!    clock, not behavior).
+#![expect(clippy::unwrap_used, reason = "test helpers fail loudly")]
 
 use proptest::prelude::*;
 

@@ -91,7 +91,6 @@ impl LoadMonitor {
     /// binary form starts with `i` zero bits, i.e. `[2^(63-i), 2^(64-i))`,
     /// clamped so the last interval absorbs the tail.
     pub fn interval_of(&self, id: u64) -> usize {
-        // dhs-lint: allow(lossy_cast) — leading_zeros of a u64 is ≤ 64.
         (id.leading_zeros() as usize).min(self.intervals.len() - 1)
     }
 
@@ -120,7 +119,10 @@ impl LoadMonitor {
     /// Expected fraction of traffic for interval `i` under the paper's
     /// geometric bit distribution: `2^{-(i+1)}`, with the last (catch-all)
     /// interval taking the remaining `2^{-(n-1)}`.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an interval count, at most 65"
+    )]
     pub fn expected_share(&self, i: usize) -> f64 {
         let n = self.intervals.len();
         if i + 1 == n {

@@ -25,15 +25,16 @@ pub struct LogLinearHistogram {
     max: u64,
 }
 
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "guarded by v < SUBBUCKETS (8); ≤ 61 octaves × 8 sub-buckets, fits"
+)]
 fn bucket_index(v: u64) -> usize {
     if v < SUBBUCKETS {
-        // dhs-lint: allow(lossy_cast) — guarded by v < SUBBUCKETS (8).
         return v as usize;
     }
     let exp = 63 - v.leading_zeros() as u64; // floor(log2 v), >= 3
     let sub = (v >> (exp - 3)) - SUBBUCKETS; // 0..SUBBUCKETS
-                                             // dhs-lint: allow(lossy_cast) — ≤ 61 octaves × 8 sub-buckets, fits.
     (SUBBUCKETS + (exp - 3) * SUBBUCKETS + sub) as usize
 }
 
@@ -120,7 +121,10 @@ impl LogLinearHistogram {
 
     /// Approximate quantile `q` in `[0, 1]` (lower bucket bound, clamped to
     /// the exact `[min, max]` range). Returns 0 if empty.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float→int: a rank below count"
+    )]
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;

@@ -1,8 +1,8 @@
 //! Canonical registry of every metric, counter, histogram, and span name
 //! the DHS stack reports through a [`crate::Recorder`].
 //!
-//! Two latent-bug classes motivated this module (see DESIGN.md, dhs-lint
-//! section): a typo'd metric name silently splits one logical series into
+//! Two latent-bug classes motivated this module (see DESIGN.md, the
+//! static-analysis gate): a typo'd metric name silently splits one logical series into
 //! two, and a read of a misspelled name silently returns zero. Keeping
 //! every name as a `pub const` here — and having `dhs-lint`'s
 //! `metric_names` rule reject any string literal at a recorder call site
@@ -172,6 +172,9 @@ pub const SHARD_EVICT: &str = "shard.evict";
 pub const SHARD_SPILL_BYTES: &str = "shard.spill.bytes";
 /// Sketches recovered from the cold tier on re-access.
 pub const SHARD_RECOVER: &str = "shard.recover";
+/// Cold-tier blobs refused on re-access: undecodable, or a sketch of
+/// another register count. The key restarts from an empty sketch.
+pub const SHARD_RECOVER_FAILED: &str = "shard.recover.failed";
 /// Sparse → packed register-tier promotions.
 pub const SHARD_PROMOTE_PACKED: &str = "shard.promote.packed";
 /// Packed → dense register-tier promotions.
@@ -336,6 +339,7 @@ pub const ALL: &[&str] = &[
     SHARD_EVICT,
     SHARD_SPILL_BYTES,
     SHARD_RECOVER,
+    SHARD_RECOVER_FAILED,
     SHARD_PROMOTE_PACKED,
     SHARD_PROMOTE_DENSE,
     ABL_MESSAGES_BASELINE,

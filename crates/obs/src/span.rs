@@ -79,7 +79,10 @@ impl SpanRecorder {
         while let Some(pos) = self.open.iter().rposition(|s| s.id == id) {
             // Pop everything above `pos` (forgotten children), then `pos`.
             while self.open.len() > pos {
-                // dhs-lint: allow(panic_hygiene) — invariant: guarded by the len check above.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: guarded by the len check above"
+                )]
                 let mut span = self.open.pop().expect("len checked");
                 span.end = now;
                 self.push_done(span);

@@ -164,6 +164,10 @@ pub fn run_saturation(
     let threads = cfg.threads.max(1);
     let router = ShardRouter::new(cfg.shards);
     let hasher = SplitMix64::default();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one approved thread fan-out: workers own disjoint shards and the join merges in worker order"
+    )]
     let outs: Result<Vec<WorkerOut>, String> = std::thread::scope(|scope| {
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
@@ -183,14 +187,20 @@ pub fn run_saturation(
             bufs[worker].push((key, hasher.hash_u64(u.item)));
             if bufs[worker].len() >= CHUNK {
                 chunks += 1;
-                // A send only fails when the worker hung up; that
-                // surfaces as the panic at join below.
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a send only fails when the worker hung up; that surfaces as the panic at join below"
+                )]
                 let _ = senders[worker].send(std::mem::take(&mut bufs[worker]));
             }
         });
         for (worker, buf) in bufs.into_iter().enumerate() {
             if !buf.is_empty() {
                 chunks += 1;
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a send only fails when the worker hung up; that surfaces as the panic at join below"
+                )]
                 let _ = senders[worker].send(buf);
             }
         }

@@ -40,9 +40,11 @@ impl ShardRouter {
 
     /// The shard owning `key`.
     pub fn shard_of(&self, key: SketchKey) -> usize {
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "reduced mod the shard count ≤ usize"
+        )]
         {
-            // dhs-lint: allow(lossy_cast) — reduced mod the shard count ≤ usize.
             (SplitMix64::mix(key.packed() ^ ROUTE_SALT) % self.shards) as usize
         }
     }
@@ -140,8 +142,7 @@ mod tests {
         let mut batch = FlushBatch::new();
         let keys: Vec<SketchKey> = (0..100u16).map(|m| SketchKey::new(0, m)).collect();
         for (i, &k) in keys.iter().enumerate() {
-            // dhs-lint: allow(lossy_cast) — test data below 256.
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(clippy::cast_possible_truncation, reason = "test data below 256")]
             batch.push(k, i as u16, (i % 50) as u8);
         }
         let groups = batch.drain_grouped(&router);

@@ -180,6 +180,7 @@ struct Shard {
     evictions: u64,
     spilled_bytes: u64,
     recoveries: u64,
+    failed_recoveries: u64,
     promotions_packed: u64,
     promotions_dense: u64,
 }
@@ -201,6 +202,8 @@ pub struct ShardStats {
     pub spilled_bytes: u64,
     /// Sketches recovered from the cold tier.
     pub recoveries: u64,
+    /// Cold-tier blobs refused: undecodable, or not `m` registers.
+    pub failed_recoveries: u64,
     /// Sparse → packed promotions.
     pub promotions_packed: u64,
     /// Packed → dense promotions.
@@ -347,6 +350,7 @@ impl<C: ColdTier> ShardedStore<C> {
                 evictions: s.evictions,
                 spilled_bytes: s.spilled_bytes,
                 recoveries: s.recoveries,
+                failed_recoveries: s.failed_recoveries,
                 promotions_packed: s.promotions_packed,
                 promotions_dense: s.promotions_dense,
             })
@@ -362,13 +366,22 @@ impl<C: ColdTier> ShardedStore<C> {
 
     /// Bump the logical clock and refresh `key`'s recency (recovering it
     /// from the cold tier if needed). `None` when the key is neither
-    /// resident nor recoverable.
+    /// resident nor recoverable. A recovered blob is installed only if
+    /// it decodes to a sketch of `m` registers; any other blob is
+    /// counted and dropped, and the key restarts empty.
     fn touch(&mut self, shard: usize, key: SketchKey, rec: &mut dyn Recorder) -> Option<()> {
         self.ticks += 1;
         let now = self.ticks;
         if !self.shards[shard].index.contains_key(&key.packed()) {
             let wire = self.cold.recover(key)?;
-            let regs = TieredRegisters::from_wire(&wire).ok()?;
+            let Some(regs) = TieredRegisters::from_wire(&wire)
+                .ok()
+                .filter(|regs| regs.len() == self.cfg.m)
+            else {
+                rec.incr(names::SHARD_RECOVER_FAILED, 1);
+                self.shards[shard].failed_recoveries += 1;
+                return None;
+            };
             rec.incr(names::SHARD_RECOVER, 1);
             self.shards[shard].recoveries += 1;
             self.install(shard, key, regs, now);
@@ -517,18 +530,16 @@ impl<C: ColdTier> ShardedStore<C> {
 }
 
 /// Widen a slab index for `Vec` access.
-#[allow(clippy::cast_possible_truncation)]
 fn slot_pos(v: u32) -> usize {
-    // dhs-lint: allow(lossy_cast) — u32 → usize is lossless on every
-    // supported target (usize is at least 32 bits here).
     v as usize
 }
 
 /// Narrow a slab position to its stored index.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "slab length is bounded by the resident sketch count, far below u32::MAX"
+)]
 fn slot_id(v: usize) -> u32 {
-    // dhs-lint: allow(lossy_cast) — slab length is bounded by the
-    // resident sketch count, far below u32::MAX.
     v as u32
 }
 
@@ -565,8 +576,6 @@ mod tests {
         let mut rec = NoopRecorder;
         let hasher = SplitMix64::default();
         for i in 0..500u64 {
-            // dhs-lint: allow(lossy_cast) — test metric ids below 16.
-            #[allow(clippy::cast_possible_truncation)]
             store.observe_item(key((i % 16) as u16), hasher.hash_u64(i), &mut rec);
             let recomputed: u64 = (0..16u16)
                 .filter_map(|m| {
@@ -647,6 +656,51 @@ mod tests {
         assert!(stats[0].spilled_bytes > 0);
     }
 
+    /// A cold tier that hands back one fixed blob for whatever key asks.
+    struct FixedCold(Option<Vec<u8>>);
+
+    impl ColdTier for FixedCold {
+        fn spill(&mut self, _key: SketchKey, _wire: Vec<u8>) {}
+        fn recover(&mut self, _key: SketchKey) -> Option<Vec<u8>> {
+            self.0.take()
+        }
+    }
+
+    #[test]
+    fn foreign_spill_of_another_m_is_refused_not_installed() {
+        let mut foreign = TieredRegisters::new(16);
+        foreign.observe(3, 5);
+        let cold = FixedCold(Some(foreign.to_wire()));
+        let mut store = ShardedStore::with_cold_tier(ShardConfig::new(1, 64), cold).unwrap();
+        let mut rec = dhs_obs::Observer::new(1);
+        // Register 40 exists at m = 64 but not in the 16-register blob.
+        store.observe(key(7), 40, 2, &mut rec);
+        let regs = store.register_vec(key(7)).unwrap();
+        assert_eq!(regs.len(), 64);
+        assert_eq!(
+            (regs[3], regs[40]),
+            (0, 3),
+            "a fresh sketch took the update"
+        );
+        assert_eq!(store.stats()[0].failed_recoveries, 1);
+        assert_eq!(store.stats()[0].recoveries, 0);
+        assert_eq!(rec.metrics.counter(names::SHARD_RECOVER_FAILED), 1);
+    }
+
+    #[test]
+    fn corrupt_spill_is_counted_not_silently_dropped() {
+        let cold = FixedCold(Some(vec![0xFF, 1, 2]));
+        let mut store = ShardedStore::with_cold_tier(ShardConfig::new(1, 64), cold).unwrap();
+        let mut rec = dhs_obs::Observer::new(1);
+        assert_eq!(store.estimate(key(7), &mut rec), None);
+        assert_eq!(store.stats()[0].failed_recoveries, 1);
+        assert_eq!(rec.metrics.counter(names::SHARD_RECOVER_FAILED), 1);
+        // The store keeps running: the key restarts from an empty sketch.
+        store.observe(key(7), 1, 0, &mut rec);
+        assert!(store.estimate(key(7), &mut rec).is_some());
+        assert_eq!(store.stats()[0].failed_recoveries, 1);
+    }
+
     #[test]
     fn discard_cold_loses_evicted_sketches() {
         let cfg = ShardConfig::new(1, 64).with_budget(SLOT_OVERHEAD + 16);
@@ -666,8 +720,6 @@ mod tests {
         let hasher = SplitMix64::default();
         let mut batch = FlushBatch::new();
         for i in 0..2_000u64 {
-            // dhs-lint: allow(lossy_cast) — test metric ids below 32.
-            #[allow(clippy::cast_possible_truncation)]
             let k = key((i % 32) as u16);
             let (bucket, rank) = classify_hash(hasher.hash_u64(i), 64);
             direct.observe(k, bucket, rank, &mut rec);

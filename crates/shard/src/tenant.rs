@@ -39,11 +39,8 @@ impl SketchKey {
 
     /// Rebuild from a packed [`MetricId`].
     pub fn from_metric_id(id: MetricId) -> Self {
-        #[allow(clippy::cast_possible_truncation)]
         SketchKey {
-            // dhs-lint: allow(lossy_cast) — intentional split of the packed id.
             tenant: (id >> 16) as u16,
-            // dhs-lint: allow(lossy_cast) — masked to 16 bits.
             metric: (id & 0xFFFF) as u16,
         }
     }
@@ -68,11 +65,15 @@ impl SketchKey {
 pub fn classify_hash(hash: u64, m: usize) -> (u16, u8) {
     debug_assert!(m.is_power_of_two() && m <= 1 << 16);
     let c = m.trailing_zeros();
-    #[allow(clippy::cast_possible_truncation)]
-    // dhs-lint: allow(lossy_cast) — masked to the bucket bits, m ≤ 65536.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked to the bucket bits, m ≤ 65536"
+    )]
     let bucket = (hash & (m as u64 - 1)) as u16;
-    #[allow(clippy::cast_possible_truncation)]
-    // dhs-lint: allow(lossy_cast) — rho ≤ 64, min-capped below 63.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rho ≤ 64, min-capped below 63"
+    )]
     let rank = rho(hash >> c).min(u32::from(MAX_PACKED) - 1) as u8;
     (bucket, rank)
 }

@@ -1,4 +1,3 @@
-#![allow(clippy::cast_possible_truncation)] // test data has known ranges
 //! Property tests for the sharded store's load-bearing invariants:
 //!
 //! * **Shard-count transparency** — routing a stream across N shards

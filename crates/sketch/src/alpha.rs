@@ -10,11 +10,6 @@
 //! * [`alpha_hyperloglog`] is the standard harmonic-mean constant of
 //!   Flajolet et al. 2007.
 
-use std::collections::HashMap;
-// The calibration cache below holds pure, order-independent floats; a
-// process-wide lock cannot change any replayed outcome.
-use std::sync::{Mutex, OnceLock}; // dhs-lint: allow(determinism)
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,10 +34,16 @@ pub fn alpha_hyperloglog(m: usize) -> f64 {
 /// Calibrated once per `m` (seeded, deterministic) so that
 /// `E[α̃_m · m₀ · 2^{mean of the m₀ smallest registers}] = n` in the
 /// asymptotic regime `n ≫ m`, then cached.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the calibration cache holds pure, order-independent floats; \
+              a process-wide lock cannot change any replayed outcome"
+)]
 pub fn alpha_superloglog(m: usize) -> f64 {
-    // dhs-lint: allow(determinism) — the lock guards pure calibration floats.
+    use std::collections::HashMap;
+    use std::sync::{Mutex, OnceLock};
+
     static CACHE: OnceLock<Mutex<HashMap<usize, f64>>> = OnceLock::new();
-    // dhs-lint: allow(determinism) — same cache; contents are order-free.
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     // A poisoned lock only means another thread panicked mid-insert; the
     // cached values themselves are plain floats, so recover the guard.
@@ -55,9 +56,11 @@ pub fn alpha_superloglog(m: usize) -> f64 {
 }
 
 /// Number of registers kept by the truncation rule.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float→int: a truncation index ≤ m"
+)]
 pub fn truncated_count(m: usize) -> usize {
-    // dhs-lint: allow(lossy_cast) — float→int: a truncation index ≤ m.
     (((m as f64) * THETA_0).floor() as usize).max(1)
 }
 
@@ -74,7 +77,10 @@ pub(crate) fn truncated_raw_estimate(regs: &MaxRegisters) -> f64 {
 
 /// Monte-Carlo calibration of `α̃_m`: simulate the sketch on `n` uniform
 /// hashes for several trials and several `n`, and return `n / E[raw]`.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "masked by m − 1, fits usize; clamped to 64, fits u8"
+)]
 // dhs-flow: allow(rng-plumbing) — the calibration owns a stream seeded
 // from (seed, m) by construction: results are cached process-wide, so a
 // caller-supplied RNG would make the cache contents call-order-dependent.
@@ -90,9 +96,7 @@ fn calibrate_alpha_superloglog(m: usize, seed: u64) -> f64 {
             let mut regs = MaxRegisters::new(m);
             for _ in 0..n {
                 let h: u64 = rng.gen();
-                // dhs-lint: allow(lossy_cast) — masked by m − 1, fits usize.
                 let bucket = (h & (m as u64 - 1)) as usize;
-                // dhs-lint: allow(lossy_cast) — clamped to 64, fits u8.
                 let rank = (rho(h >> c).min(63) + 1) as u8;
                 regs.observe(bucket, rank);
             }

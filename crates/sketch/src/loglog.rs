@@ -74,14 +74,15 @@ impl CardinalityEstimator for SuperLogLog {
     }
 
     #[inline]
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked by m − 1 (m ≤ 2^16), fits; clamped to 255, fits u8"
+    )]
     fn insert_hash(&mut self, hash: u64) {
         let m = self.regs.len() as u64;
-        // dhs-lint: allow(lossy_cast) — masked by m − 1 (m ≤ 2^16), fits.
         let bucket = (hash & (m - 1)) as usize;
         // 1-based rank of the remaining bits; ρ(0) = 64 saturates to 64+1,
         // clamped into u8 range (255 ≫ any feasible rank).
-        // dhs-lint: allow(lossy_cast) — clamped to 255, fits u8.
         let rank = (rho(hash >> self.bucket_bits) + 1).min(255) as u8;
         self.regs.observe(bucket, rank);
     }

@@ -28,12 +28,13 @@ pub struct PackedRegisters {
 
 impl PackedRegisters {
     /// Create `m` zeroed packed registers.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a register count, far below usize::MAX on any supported target"
+    )]
     pub fn new(m: usize) -> Self {
         let total_bits = m as u64 * u64::from(BITS_PER_REGISTER);
         PackedRegisters {
-            // dhs-lint: allow(lossy_cast) — a register count, far below
-            // usize::MAX on any supported target.
             words: vec![0; total_bits.div_ceil(64) as usize],
             len: m,
         }
@@ -55,11 +56,13 @@ impl PackedRegisters {
     }
 
     /// Read register `i`.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "div/mod by 64 bound both values; masked to MAX_PACKED, fits u8"
+    )]
     pub fn get(&self, i: usize) -> u8 {
         assert!(i < self.len);
         let bit = i as u64 * u64::from(BITS_PER_REGISTER);
-        // dhs-lint: allow(lossy_cast) — div/mod by 64 bound both values.
         let (word, offset) = ((bit / 64) as usize, (bit % 64) as u32);
         let lo = self.words[word] >> offset;
         let value = if offset + BITS_PER_REGISTER <= 64 {
@@ -67,7 +70,6 @@ impl PackedRegisters {
         } else {
             lo | (self.words[word + 1] << (64 - offset))
         };
-        // dhs-lint: allow(lossy_cast) — masked to MAX_PACKED, fits u8.
         (value & u64::from(MAX_PACKED)) as u8
     }
 
@@ -76,7 +78,6 @@ impl PackedRegisters {
         assert!(i < self.len);
         let value = u64::from(value.min(MAX_PACKED));
         let bit = i as u64 * u64::from(BITS_PER_REGISTER);
-        // dhs-lint: allow(lossy_cast) — div/mod by 64 bound both values.
         let (word, offset) = ((bit / 64) as usize, (bit % 64) as u32);
         let mask = u64::from(MAX_PACKED);
         self.words[word] &= !(mask << offset);
@@ -108,7 +109,10 @@ impl PackedRegisters {
 }
 
 #[cfg(test)]
-#[allow(clippy::cast_possible_truncation)] // test data has known ranges
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data has known ranges"
+)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -95,10 +95,12 @@ impl CardinalityEstimator for Pcsa {
     }
 
     #[inline]
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked by m − 1 (m ≤ 2^16), fits"
+    )]
     fn insert_hash(&mut self, hash: u64) {
         let m = self.bitmaps.len() as u64;
-        // dhs-lint: allow(lossy_cast) — masked by m − 1 (m ≤ 2^16), fits.
         let bucket = (hash & (m - 1)) as usize;
         let rank = rho(hash >> self.bucket_bits);
         self.bitmaps.set(bucket, rank);

@@ -130,8 +130,10 @@ impl TieredRegisters {
     pub fn get(&self, i: usize) -> u8 {
         assert!(i < self.len, "register {i} out of range");
         match &self.repr {
-            #[allow(clippy::cast_possible_truncation)]
-            // dhs-lint: allow(lossy_cast) — `i < self.len ≤ 65536` checked above.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`i < self.len ≤ 65536` checked above"
+            )]
             Repr::Sparse(entries) => match entries.binary_search_by_key(&(i as u16), |e| e.0) {
                 Ok(pos) => entries[pos].1,
                 Err(_) => 0,
@@ -153,8 +155,10 @@ impl TieredRegisters {
             return None;
         }
         let grew = match &mut self.repr {
-            #[allow(clippy::cast_possible_truncation)]
-            // dhs-lint: allow(lossy_cast) — `i < self.len ≤ 65536` checked above.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`i < self.len ≤ 65536` checked above"
+            )]
             Repr::Sparse(entries) => match entries.binary_search_by_key(&(i as u16), |e| e.0) {
                 Ok(pos) => {
                     if rank > entries[pos].1 {
@@ -163,7 +167,6 @@ impl TieredRegisters {
                     false
                 }
                 Err(pos) => {
-                    // dhs-lint: allow(lossy_cast) — `i < self.len ≤ 65536`.
                     entries.insert(pos, (i as u16, rank));
                     true
                 }
@@ -226,8 +229,7 @@ impl TieredRegisters {
                 for i in 0..self.len {
                     let v = self.get(i);
                     if v > 0 {
-                        #[allow(clippy::cast_possible_truncation)]
-                        // dhs-lint: allow(lossy_cast) — i < len ≤ 65536.
+                        #[expect(clippy::cast_possible_truncation, reason = "i < len ≤ 65536")]
                         entries.push((i as u16, v));
                     }
                 }
@@ -335,13 +337,11 @@ impl TieredRegisters {
             Repr::Packed(_) => 2,
             Repr::Dense(_) => 3,
         });
-        #[allow(clippy::cast_possible_truncation)]
-        // dhs-lint: allow(lossy_cast) — m ≤ 65536 by construction.
+        #[expect(clippy::cast_possible_truncation, reason = "m ≤ 65536 by construction")]
         out.extend_from_slice(&(self.len as u32).to_le_bytes());
         match &self.repr {
             Repr::Sparse(entries) => {
-                #[allow(clippy::cast_possible_truncation)]
-                // dhs-lint: allow(lossy_cast) — entries.len() ≤ m ≤ 65536.
+                #[expect(clippy::cast_possible_truncation, reason = "entries.len() ≤ m ≤ 65536")]
                 out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
                 for &(idx, rank) in entries {
                     out.extend_from_slice(&idx.to_le_bytes());
@@ -357,16 +357,12 @@ impl TieredRegisters {
                     acc |= u32::from(p.get(i)) << bits;
                     bits += 6;
                     while bits >= 8 {
-                        #[allow(clippy::cast_possible_truncation)]
-                        // dhs-lint: allow(lossy_cast) — masked to one byte.
                         out.push((acc & 0xFF) as u8);
                         acc >>= 8;
                         bits -= 8;
                     }
                 }
                 if bits > 0 {
-                    #[allow(clippy::cast_possible_truncation)]
-                    // dhs-lint: allow(lossy_cast) — masked to one byte.
                     out.push((acc & 0xFF) as u8);
                 }
             }
@@ -390,7 +386,6 @@ impl TieredRegisters {
         if m_raw > 1 << 16 {
             return Err(DecodeError::InvalidParams);
         }
-        // dhs-lint: allow(lossy_cast) — m_raw ≤ 65536 checked above.
         let m = m_raw as usize;
         let payload = &bytes[TIERED_HEADER..];
         let (repr, nonzero) = match tier {
@@ -399,7 +394,6 @@ impl TieredRegisters {
                     return Err(DecodeError::TooShort);
                 }
                 let count = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
-                // dhs-lint: allow(lossy_cast) — u32 → usize, lossless here.
                 let count = count as usize;
                 let body = &payload[4..];
                 if body.len() != count * 3 {
@@ -443,8 +437,6 @@ impl TieredRegisters {
                         acc |= u32::from(b) << bits;
                         bits += 8;
                     }
-                    #[allow(clippy::cast_possible_truncation)]
-                    // dhs-lint: allow(lossy_cast) — masked to 6 bits.
                     let v = (acc & 0x3F) as u8;
                     acc >>= 6;
                     bits -= 6;
@@ -486,7 +478,10 @@ impl TieredRegisters {
 }
 
 #[cfg(test)]
-#[allow(clippy::cast_possible_truncation)] // test data has known ranges
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data has known ranges"
+)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

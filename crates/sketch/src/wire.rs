@@ -75,9 +75,11 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "trailing_zeros of a u64 is ≤ 64"
+)]
 fn header(kind: u8, m: usize, width: u8) -> [u8; 4] {
-    // dhs-lint: allow(lossy_cast) — trailing_zeros of a u64 is ≤ 64.
     [MAGIC, kind, m.trailing_zeros() as u8, width]
 }
 
@@ -115,11 +117,13 @@ pub trait WireSketch: Sized {
 }
 
 impl WireSketch for Pcsa {
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "register width is 4 or 8 bits"
+    )]
     fn to_bytes(&self) -> Vec<u8> {
         let m = self.buckets();
         let mut out = Vec::with_capacity(Self::encoded_size(m));
-        // dhs-lint: allow(lossy_cast) — register width is 4 or 8 bits.
         out.extend_from_slice(&header(1, m, self.width() as u8));
         for i in 0..m {
             // Reconstruct the raw bitmap from bit queries (the BitmapArray
@@ -147,7 +151,10 @@ impl WireSketch for Pcsa {
         let mut sketch =
             Pcsa::with_width(m, u32::from(width)).map_err(|_| DecodeError::InvalidParams)?;
         for (i, chunk) in payload.chunks_exact(8).enumerate() {
-            // dhs-lint: allow(panic_hygiene) — invariant: chunks_exact(8) yields 8-byte chunks.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: chunks_exact(8) yields 8-byte chunks"
+            )]
             let raw = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
             for r in 0..u32::from(width) {
                 if (raw >> r) & 1 == 1 {

@@ -39,7 +39,6 @@ fn check_decoders_total(bytes: &[u8]) {
 
 /// Byte `i` of a pseudo-random payload; `small` keeps it a legal
 /// 6-bit register value.
-#[allow(clippy::cast_possible_truncation)] // the shift leaves one byte
 fn payload_byte(seed: u64, i: usize, small: bool) -> u8 {
     let b = (SplitMix64::mix(seed ^ i as u64) >> 56) as u8;
     if small {

@@ -1,6 +1,7 @@
 //! End-to-end determinism: two independent executions of the same plan
 //! produce byte-identical registry artifacts — the property the
 //! committed trajectory CSV and the check.sh two-run `cmp` rely on.
+#![expect(clippy::unwrap_used, reason = "test helpers fail loudly")]
 
 use dhs_obs::{names, MetricsRegistry, NoopRecorder, Observer};
 use dhs_traj::{

@@ -21,7 +21,10 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// Fisher–Yates on indices, seeded by the generated shuffle seed.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "reduced mod i + 1 ≤ n, fits usize"
+)]
 fn shuffled(n: usize, mut state: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {

@@ -20,11 +20,12 @@ pub struct DuplicatedMultiset {
 
 impl DuplicatedMultiset {
     /// `distinct` items, each appearing exactly `copies` times, shuffled.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a capacity hint; workloads are far below usize::MAX items"
+    )]
     pub fn uniform_copies(distinct: u64, copies: u32, rng: &mut impl Rng) -> Self {
         assert!(copies >= 1);
-        // dhs-lint: allow(lossy_cast) — a capacity hint; workloads are far
-        // below usize::MAX items.
         let mut items = Vec::with_capacity((distinct * u64::from(copies)) as usize);
         for item in 0..distinct {
             for _ in 0..copies {
@@ -38,13 +39,15 @@ impl DuplicatedMultiset {
     /// `distinct` items with Zipf-skewed copy counts: item of popularity
     /// rank `i` appears `⌈max_copies / i^θ⌉` times. Models "popular
     /// documents indexed everywhere".
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float→int: ≤ max_copies, fits u32"
+    )]
     pub fn zipf_copies(distinct: u64, max_copies: u32, theta: f64, rng: &mut impl Rng) -> Self {
         assert!(max_copies >= 1);
         let mut items = Vec::new();
         for item in 0..distinct {
             let rank = item + 1;
-            // dhs-lint: allow(lossy_cast) — float→int: ≤ max_copies, fits u32.
             let copies = ((f64::from(max_copies) / (rank as f64).powf(theta)).ceil() as u32).max(1);
             for _ in 0..copies {
                 items.push(item);
@@ -89,7 +92,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn uniform_copies_exact_counts() {
@@ -98,7 +101,7 @@ mod tests {
         assert_eq!(ms.len(), 500);
         assert_eq!(ms.distinct, 100);
         assert_eq!(ms.duplication_factor(), 5.0);
-        let distinct: HashSet<u64> = ms.items.iter().copied().collect();
+        let distinct: BTreeSet<u64> = ms.items.iter().copied().collect();
         assert_eq!(distinct.len(), 100);
     }
 
@@ -110,7 +113,7 @@ mod tests {
         assert_eq!(count(0), 100);
         assert_eq!(count(1), 50);
         assert!(count(49) >= 1);
-        let distinct: HashSet<u64> = ms.items.iter().copied().collect();
+        let distinct: BTreeSet<u64> = ms.items.iter().copied().collect();
         assert_eq!(distinct.len(), 50);
     }
 

@@ -86,7 +86,10 @@ pub struct Relation {
 
 impl RelationSpec {
     /// Tuple count after applying `scale` (at least 1).
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float→int: a rounded, finite tuple count"
+    )]
     pub fn scaled_tuples(&self, scale: f64) -> u64 {
         assert!(scale > 0.0 && scale.is_finite());
         ((self.paper_tuples as f64 * scale).round() as u64).max(1)
@@ -97,7 +100,10 @@ impl Relation {
     /// Materialize the relation at `scale` (1.0 = paper scale). Tuple ids
     /// are made globally unique by tagging the top byte with
     /// `relation_tag`, so multi-relation experiments never collide.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Zipf ranks are ≤ the domain size"
+    )]
     pub fn generate(spec: &RelationSpec, scale: f64, relation_tag: u8, rng: &mut impl Rng) -> Self {
         let n = spec.scaled_tuples(scale);
         let zipf = Zipf::new(spec.domain, spec.theta);
@@ -105,7 +111,6 @@ impl Relation {
         let tuples = (0..n)
             .map(|i| Tuple {
                 id: tag | i,
-                // dhs-lint: allow(lossy_cast) — Zipf ranks are ≤ the domain size.
                 value: (zipf.sample(rng) - 1) as u32,
             })
             .collect();
@@ -138,7 +143,6 @@ impl Relation {
     pub fn value_frequencies(&self) -> Vec<u64> {
         let mut freq = vec![0u64; self.spec.domain];
         for t in &self.tuples {
-            // dhs-lint: allow(lossy_cast) — u32 → usize is lossless here.
             freq[t.value as usize] += 1;
         }
         freq
@@ -146,18 +150,23 @@ impl Relation {
 }
 
 /// Generate all four paper relations at `scale`, with distinct tags.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "schemas hold far fewer than 256 relations"
+)]
 pub fn generate_paper_relations(scale: f64, rng: &mut impl Rng) -> Vec<Relation> {
     PAPER_RELATIONS
         .iter()
         .enumerate()
-        // dhs-lint: allow(lossy_cast) — schemas hold far fewer than 256 relations.
         .map(|(i, spec)| Relation::generate(spec, scale, (i + 1) as u8, rng))
         .collect()
 }
 
 #[cfg(test)]
-#[allow(clippy::cast_possible_truncation)] // test data has known ranges
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test data has known ranges"
+)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -84,22 +84,20 @@ impl TenantWorkload {
         let total = self.total_metrics();
         // Per-metric update counters make item keys unique stream-wide:
         // item = global_metric_index * 2^32 + seq.
-        #[allow(clippy::cast_possible_truncation)]
-        // dhs-lint: allow(lossy_cast) — total ≤ 2^32, fits usize.
+        #[expect(clippy::cast_possible_truncation, reason = "total ≤ 2^32, fits usize")]
         let mut seq = vec![0u32; total as usize];
         let emit = |global: u64, seq: &mut [u32], f: &mut dyn FnMut(TenantUpdate)| {
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "tenant and metric indices bounded by validate(); global < total ≤ 2^32, fits usize"
+            )]
             let update = TenantUpdate {
-                // dhs-lint: allow(lossy_cast) — tenant index bounded by validate().
                 tenant: (global / u64::from(self.metrics_per_tenant)) as u16,
-                // dhs-lint: allow(lossy_cast) — metric index bounded by validate().
                 metric: (global % u64::from(self.metrics_per_tenant)) as u16,
-                // dhs-lint: allow(lossy_cast) — global < total ≤ 2^32, fits usize.
                 item: (global << 32) | u64::from(seq[global as usize]),
             };
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(clippy::cast_possible_truncation, reason = "total ≤ 2^32, fits usize")]
             {
-                // dhs-lint: allow(lossy_cast) — total ≤ 2^32, fits usize.
                 seq[global as usize] += 1;
             }
             f(update);
@@ -110,8 +108,7 @@ impl TenantWorkload {
         if self.extra_updates == 0 {
             return;
         }
-        #[allow(clippy::cast_possible_truncation)]
-        // dhs-lint: allow(lossy_cast) — total ≤ 2^32, fits usize.
+        #[expect(clippy::cast_possible_truncation, reason = "total ≤ 2^32, fits usize")]
         let zipf = Zipf::new(total as usize, self.theta);
         for _ in 0..self.extra_updates {
             let global = (zipf.sample(rng) - 1) as u64;

@@ -20,6 +20,10 @@ pub struct Zipf {
 impl Zipf {
     /// Build the distribution. `domain ≥ 1`; `theta ≥ 0` (θ = 0 is
     /// uniform).
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: cdf has one entry per rank and ranks >= 1"
+    )]
     pub fn new(domain: usize, theta: f64) -> Self {
         assert!(domain >= 1, "domain must be non-empty");
         assert!(theta >= 0.0 && theta.is_finite(), "theta must be ≥ 0");
@@ -34,7 +38,6 @@ impl Zipf {
             *p /= total;
         }
         // Guard against floating-point round-off at the top end.
-        // dhs-lint: allow(panic_hygiene) — invariant: cdf has one entry per rank and ranks >= 1.
         *cdf.last_mut().expect("non-empty") = 1.0;
         Zipf { cdf, theta }
     }

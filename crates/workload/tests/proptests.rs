@@ -1,4 +1,7 @@
-#![allow(clippy::cast_possible_truncation)] // test data has known ranges
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "test data has known ranges"
+)]
 //! Property-based tests for the workload generators.
 
 use dhs_workload::multiset::DuplicatedMultiset;

@@ -70,6 +70,10 @@ fn main() {
             // Fresh system per scenario: loss hits insertion too.
             let mut rng_s = StdRng::seed_from_u64(9);
             let mut ring = Ring::build(512, RingConfig::default(), &mut rng_s);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "loss rates are whole percents"
+            )]
             let seed = 90 + (loss * 100.0) as u64 * 2 + u64::from(with_retry);
             let mut net = transport(seed, loss, retry);
             let origin = ring.alive_ids()[0];

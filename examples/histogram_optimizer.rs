@@ -50,7 +50,12 @@ fn main() {
                 domain: 1_000,
                 theta,
             };
-            Relation::generate(&spec, 1.0, 1 + i as u8, &mut rng)
+            Relation::generate(
+                &spec,
+                1.0,
+                1 + u8::try_from(i).expect("few relations"),
+                &mut rng,
+            )
         })
         .collect();
 
@@ -60,7 +65,12 @@ fn main() {
         .iter()
         .enumerate()
         .map(|(i, rel)| {
-            let spec = BucketSpec::new(0, 999, 50, 1_000 + 64 * i as u32);
+            let spec = BucketSpec::new(
+                0,
+                999,
+                50,
+                1_000 + 64 * u32::try_from(i).expect("few relations"),
+            );
 
             DhsHistogram::build(
                 &dhs,

@@ -65,7 +65,7 @@ fn main() {
         let peer = ring.random_alive(&mut rng);
         let key = hasher.hash_u64(doc);
         dhs.insert(&mut ring, DOCS_METRIC, key, peer, &mut rng, &mut ledger);
-        let kw = KEYWORD_BASE + (doc % keywords) as u32;
+        let kw = KEYWORD_BASE + u32::try_from(doc % keywords).expect("keyword ids fit u32");
         dhs.insert(&mut ring, kw, key, peer, &mut rng, &mut ledger);
     }
     for &peer in ring.alive_ids().to_vec().iter() {
@@ -89,7 +89,7 @@ fn main() {
     let querier = ring.random_alive(&mut rng);
     let metrics: Vec<MetricId> = [DOCS_METRIC]
         .into_iter()
-        .chain((0..keywords as u32).map(|k| KEYWORD_BASE + k))
+        .chain((0..u32::try_from(keywords).expect("keyword ids fit u32")).map(|k| KEYWORD_BASE + k))
         .collect();
     let mut census_cost = CostLedger::new();
     let results = dhs.count_multi(&ring, &metrics, querier, &mut rng, &mut census_cost);

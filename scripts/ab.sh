@@ -21,8 +21,16 @@
 #   4. `dhs-benchmark compare` of the two sides' medians, with min–max
 #      over the runs as each side's range: ok / worse / unresolved per
 #      end-to-end metric.
-# Exits 1 on a `worse` row or an exact value that differs. It drives the
-# benchmark CLI only; nothing under benchmark/ is edited.
+# When the placement table marks a row `placement?`, it then runs the
+# aligned lane: both sides rebuilt with every function at a 64-byte
+# boundary (RUSTFLAGS="-C llvm-args=-align-all-functions=6", separate
+# target dirs), one same-seed pair per selected workload whose hot
+# function moved, and that pair's `compare`. It ends with both verdicts
+# of each such workload side by side: a `worse` that the aligned lane
+# reads `ok` is placement, not the change.
+# Exits 1 on a `worse` row of the main lane or an exact value that
+# differs. It drives the benchmark CLI only; nothing under benchmark/ is
+# edited.
 #
 # Every run's JSON is kept under AB_OUT (default target/ab).
 set -euo pipefail
@@ -54,19 +62,20 @@ build . head
 # Code placement: the start address mod 64 of every instance of each
 # hot function, per binary. Count rates move with where these fall
 # relative to 64-byte lines, so a row whose offsets differ between the
-# two sides is marked `placement?`: before blaming the change for a rate
-# on that path, rebuild both sides with
-# RUSTFLAGS="-C llvm-args=-align-all-functions=6" and run a pair again.
-python3 - "$out/bin-base" "$out/bin-head" <<'EOF'
+# two sides is marked `placement?`, and the workloads that run it are
+# written to $out/moved for the aligned lane below.
+python3 - "$out/bin-base" "$out/bin-head" "$out/moved" <<'EOF'
 import re, subprocess, sys
 
+dht = ("dhs-write", "dhs-read", "net-lossy")
+count = ("dhs-read", "net-lossy")
 hot = [
-    ("<Ring as Overlay>::fetch_at", r"<dhs_dht::ring::Ring as dhs_dht::overlay::Overlay>::fetch_at"),
-    ("Ring::get_at", r"dhs_dht::ring::Ring::get_at"),
-    ("Ring::route", r"dhs_dht::ring::Ring::route"),
-    ("Registers::apply_hits", r"dhs_core::count::Registers::apply_hits"),
-    ("CostLedger::record_visit", r"dhs_dht::cost::CostLedger::record_visit"),
-    ("ShardedStore::observe_item", r"dhs_shard::store::ShardedStore(<.*>)?::observe_item"),
+    ("<Ring as Overlay>::fetch_at", r"<dhs_dht::ring::Ring as dhs_dht::overlay::Overlay>::fetch_at", count),
+    ("Ring::get_at", r"dhs_dht::ring::Ring::get_at", count),
+    ("Ring::route", r"dhs_dht::ring::Ring::route", dht),
+    ("Registers::apply_hits", r"dhs_core::count::Registers::apply_hits", count),
+    ("CostLedger::record_visit", r"dhs_dht::cost::CostLedger::record_visit", dht),
+    ("ShardedStore::observe_item", r"dhs_shard::store::ShardedStore(<.*>)?::observe_item", ("tenant-ingest",)),
 ]
 
 def offsets(binary):
@@ -76,18 +85,23 @@ def offsets(binary):
         for addr, kind, name in (line.split(" ", 2) for line in out.splitlines() if line[:1] != " ")
         if kind in "Tt"
     )
-    return {label: [a % 64 for a, name in syms if re.fullmatch(pat, name)] for label, pat in hot}
+    return {label: [a % 64 for a, name in syms if re.fullmatch(pat, name)] for label, pat, _ in hot}
 
 sides = [offsets(b) for b in sys.argv[1:3]]
 show = lambda offs: ",".join(map(str, offs)) or "inlined"
+moved = set()
 print("\ncode placement, start address mod 64 of every instance:")
 print(f"  {'function':28} {'base':>12} {'head':>12}")
-for label, _ in hot:
+for label, _, workloads in hot:
     b, h = (side[label] for side in sides)
     print(f"  {label:28} {show(b):>12} {show(h):>12}{'  placement?' if b != h else ''}")
+    if b != h:
+        moved.update(workloads)
+open(sys.argv[3], "w").write("".join(f"{w}\n" for w in sorted(moved)))
 EOF
 
 status=0
+declare -A verdict aligned_verdict
 for w in "${workloads[@]}"; do
   dir="$out/$w"
   rm -rf "$dir"
@@ -170,6 +184,39 @@ for line in diffs:
 sys.exit(1 if diffs else 0)
 EOF
   echo
-  "$out/bin-head" compare "$dir/base-median.json" "$dir/head-median.json" || status=1
+  verdict[$w]=ok
+  "$out/bin-head" compare "$dir/base-median.json" "$dir/head-median.json" \
+    || { status=1; verdict[$w]=worse; }
 done
+
+# The aligned lane: with every function at a 64-byte boundary, code
+# placement cannot differ between the sides, so one pair tells a
+# placement gap from a real one.
+moved=()
+for w in "${workloads[@]}"; do
+  if grep -qx "$w" "$out/moved"; then moved+=("$w"); fi
+done
+if [ ${#moved[@]} -gt 0 ]; then
+  aligned="-C llvm-args=-align-all-functions=6"
+  RUSTFLAGS=$aligned build "$out/base-src" base-aligned
+  RUSTFLAGS=$aligned build . head-aligned
+  for w in "${moved[@]}"; do
+    dir="$out/$w/aligned"
+    mkdir -p "$dir"
+    for side in base head; do
+      "$out/bin-$side-aligned" run --workload "$w" --seed "$seed0" --trace 0 \
+        --out "$dir/$side.json" > "$dir/$side.txt" || true
+    done
+    echo
+    echo "$w, aligned lane (one pair, seed $seed0):"
+    aligned_verdict[$w]=ok
+    "$out/bin-head-aligned" compare "$dir/base.json" "$dir/head.json" \
+      || aligned_verdict[$w]=worse
+  done
+  echo
+  echo "workloads whose hot code moved: $pairs-pair verdict, aligned-pair verdict"
+  for w in "${moved[@]}"; do
+    printf '  %-14s %-6s %s\n' "$w" "${verdict[$w]}" "${aligned_verdict[$w]}"
+  done
+fi
 exit $status

@@ -35,6 +35,16 @@
 //!   with declared KPI tolerances) and the append-only perf-trajectory
 //!   registry that gates KPI regressions against committed baselines.
 
+// The workspace's panic lints, for the library target only (see the
+// root Cargo.toml's `[lints]`).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub use dhs_baselines as baselines;
 pub use dhs_core as dhs;
 pub use dhs_dht as dht;

@@ -68,7 +68,7 @@ fn live_app_keys(ring: &Ring) -> BTreeSet<u64> {
 /// function of the live app-key set.
 fn exhaustive_estimate(cfg: &DhsConfig, ring: &Ring) -> (Vec<u32>, f64) {
     let dhs = Dhs::new(DhsConfig {
-        lim: NODES as u32,
+        lim: u32::try_from(NODES).unwrap(),
         ..*cfg
     })
     .unwrap();

@@ -42,7 +42,7 @@ fn build_system() -> (Dhs, Ring, Vec<Relation>, Vec<BucketSpec>, StdRng) {
     let mut specs = Vec::new();
     let mut ledger = CostLedger::new();
     for (i, rel) in relations.iter().enumerate() {
-        let spec = BucketSpec::new(0, 999, 20, 100 + 32 * i as u32);
+        let spec = BucketSpec::new(0, 999, 20, 100 + 32 * u32::try_from(i).unwrap());
         DhsHistogram::build(&dhs, &mut ring, rel, spec, &hasher, &mut rng, &mut ledger);
         specs.push(spec);
     }

@@ -196,7 +196,8 @@ proptest! {
 
         // Exhaustive probing (lim = node count covers every node) makes
         // the registers a pure function of the stored set: bit-equal.
-        let exhaustive = Dhs::new(DhsConfig { lim: nodes as u32, ..cfg }).unwrap();
+        let lim = u32::try_from(nodes).unwrap();
+        let exhaustive = Dhs::new(DhsConfig { lim, ..cfg }).unwrap();
         let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
         let a = exhaustive.count(&item_ring, 1, origin, &mut rng_a, &mut CostLedger::new());
